@@ -43,8 +43,8 @@ func main() {
 		seed    = flag.Int64("seed", 42, "seed for randomized algorithms")
 		assign  = flag.String("assign", "", "write 'u v partition' lines to this file")
 		buffer  = flag.Int("buffer", 0, "buffered algorithm: edges per batch (0 = default or derived from -budget)")
-		workers = flag.Int("workers", 0, "parallel workers for the whole sharded pipeline — pre-passes "+
-			"(degree pass, CSR build), streaming, fallbacks — and DNE "+
+		workers = flag.Int("workers", 0, "parallel workers for the sharded pipeline — streaming, "+
+			"expansion, fallbacks — and DNE; the degree pass and CSR build stay single-goroutine "+
 			"(0 = all cores, 1 = exact sequential path; algorithms with no parallel path reject > 1)")
 		budget = flag.Int64("budget", 0, "if > 0, fit the partitioner to this many bytes: "+
 			"picks τ for -algo hep (§4.4), sizes the edge buffer for -algo buffered")

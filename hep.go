@@ -151,17 +151,18 @@ type Config struct {
 	// on worker interleaving.
 	Seed int64
 	// Workers is the multi-core parallelism of the algorithms that have a
-	// parallel path, and it covers the whole pipeline, not just streaming:
-	// the exact-degree pre-pass and the sharded CSR build (AlgoHEP,
-	// AlgoHDRF, AlgoRestream, AlgoBuffered's degree pass), the sharded
-	// streaming engine behind AlgoHEP's informed phase, AlgoHDRF and
-	// AlgoRestream, AlgoBuffered's mini-CSR fill, its region expansion
-	// (up to Workers concurrent expanders per batch, DNE-style CAS edge
-	// claims) and its per-edge fallback, and DNE's own concurrent
-	// expanders. 0 resolves to GOMAXPROCS (DNE keeps
+	// parallel path: the sharded streaming engine behind AlgoHEP's
+	// informed phase, AlgoHDRF and AlgoRestream, AlgoBuffered's mini-CSR
+	// fill, its region expansion (up to Workers concurrent expanders per
+	// batch, DNE-style CAS edge claims) and its per-edge fallback, and
+	// DNE's own concurrent expanders. The pre-passes — the exact degree
+	// pass and HEP's two-pass CSR build — are single-goroutine at every
+	// Workers, because on a 2-vCPU host the batch-engine versions they
+	// replaced ran at 296 vs 104 ns/edge (CSR build, TW stand-in) and 115
+	// vs 15 ns/edge (degree pass, OK stand-in). HEP's CSR is therefore
+	// bit-identical at every Workers. 0 resolves to GOMAXPROCS (DNE keeps
 	// its own default); 1 forces the exact sequential code path, which is
-	// the determinism guarantee — parallel placement (and the sharded
-	// build's within-segment adjacency order) depends on worker
+	// the determinism guarantee — parallel placement depends on worker
 	// interleaving. Algorithms with no parallel path (order-sensitive
 	// streaming like ADWISE, the in-memory partitioners) reject
 	// Workers > 1 instead of silently running sequentially.
@@ -278,10 +279,10 @@ func New(cfg Config) (Algorithm, error) {
 	switch name {
 	case AlgoHEP:
 		a = &core.HEP{Tau: cfg.Tau, Alpha: cfg.Alpha, Lambda: cfg.Lambda, Seed: cfg.Seed,
-			Workers: shardWorkers(cfg), BuildWorkers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoNEPP:
 		a = &core.HEP{Tau: math.Inf(1), Alpha: cfg.Alpha, Lambda: cfg.Lambda,
-			Workers: shardWorkers(cfg), BuildWorkers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
+			Workers: shardWorkers(cfg), BatchEdges: cfg.BatchEdges, Obs: cfg.Obs}
 	case AlgoNE:
 		a = &ne.NE{Seed: cfg.Seed}
 	case AlgoSNE:

@@ -3,7 +3,12 @@ package hep
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"hep/internal/core"
+	"hep/internal/graph"
+	"hep/internal/part"
 )
 
 func TestPartitionEveryAlgorithm(t *testing.T) {
@@ -319,5 +324,47 @@ func TestOpenChunkedFacade(t *testing.T) {
 	}
 	if res.M != g.NumEdges() {
 		t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
+	}
+}
+
+// TestHEPCSRBitIdenticalAcrossWorkers: the CSR a HEP partitioner built by
+// New constructs does not depend on Config.Workers. NE++ is deterministic
+// over a given CSR, so the in-memory phase's assignment sequence pins the
+// column array and size fields it consumed, and the spill store pins the
+// E_h2h order. Both must match the Workers: 1 run exactly at Workers 2 and
+// 4 (the streaming phase after them is the part that may differ).
+func TestHEPCSRBitIdenticalAcrossWorkers(t *testing.T) {
+	g := Dataset("TW", 0.05)
+	run := func(w int) ([]part.TaggedEdge, []graph.Edge) {
+		var col part.Collect
+		a, err := New(Config{Algorithm: AlgoHEP, K: 16, Tau: 10, Workers: w, Sink: &col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := &graph.MemH2H{}
+		a.(*core.HEP).H2HStore = store
+		res, err := a.Partition(g, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.M != g.NumEdges() {
+			t.Fatalf("W=%d: assigned %d of %d edges", w, res.M, g.NumEdges())
+		}
+		var h2h []graph.Edge
+		store.Edges(func(u, v graph.V) bool { h2h = append(h2h, graph.Edge{U: u, V: v}); return true })
+		return col.Edges[:res.M-store.Len()], h2h
+	}
+	nepp1, h2h1 := run(1)
+	if len(h2h1) == 0 {
+		t.Fatal("no E_h2h edges: the test would not pin the spill order")
+	}
+	for _, w := range []int{2, 4} {
+		nepp, h2h := run(w)
+		if !slices.Equal(nepp, nepp1) {
+			t.Fatalf("W=%d: NE++ assignments differ from W=1 (the CSR differs)", w)
+		}
+		if !slices.Equal(h2h, h2h1) {
+			t.Fatalf("W=%d: E_h2h spill order differs from W=1", w)
+		}
 	}
 }

@@ -1,191 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"sync/atomic"
-
 	"hep/internal/graph"
 	"hep/internal/shard"
 )
 
-// BuildCSRSharded builds the same pruned CSR as graph.BuildCSR with both
-// passes running through the parallel batch engine (internal/shard) — the
-// paper's first future-work direction (§7: parallelism) applied to HEP's
-// in-memory phase ingest. Unlike the engine's streaming use, the stream is
-// scanned once per pass, not once per worker:
+// BuildCSRSharded builds the pruned CSR of graph.BuildCSR; opts is ignored.
 //
-//   - Pass 1 counts out/in-degrees into per-worker reduction lanes folded at
-//     batch boundaries. Addition commutes, so the counts — and therefore the
-//     mean degree, the high-degree set and every segment size — are
-//     bit-identical to the sequential first pass.
-//   - Pass 2 fills adjacency segments by claiming slots with atomic cursor
-//     bumps on the size arrays (the DNE-style claim discipline), while edges
-//     between two high-degree vertices are flagged for the ordered collector,
-//     which spills them to the H2H store in exact stream order.
-//
-// The resulting CSR is adjacency-equivalent to the sequential build: same
-// segment sizes and contents, same E_h2h sequence, but the order of entries
-// within a segment depends on worker interleaving. NE++ consumes segments as
-// unordered edge sets, so partitioning quality is preserved; runs wanting
-// bit-identical results use one worker (the sequential path), matching the
-// Workers ≤ 1 determinism contract everywhere else in the pipeline.
+// Deprecated: the CSR build is single-goroutine (a batch-parallel build ran
+// 2–3× slower per edge on two cores). Call graph.BuildCSR.
 func BuildCSRSharded(src graph.EdgeStream, tau float64, store graph.H2HStore, opts shard.Options) (*graph.CSR, error) {
-	workers := opts.Resolve()
-	if workers <= 1 {
-		return graph.BuildCSR(src, tau, store)
-	}
-	if tau <= 0 {
-		return nil, fmt.Errorf("core: tau must be positive, got %v", tau)
-	}
-	n := src.NumVertices()
-
-	// Pass 1 (parallel): out/in-degree lanes, folded per batch. A worker's
-	// validation error aborts the dispatcher's scan via the stop flag, so a
-	// bad edge fails the build promptly like the sequential pass.
-	outLanes := shard.NewLanes[int32](workers, n)
-	inLanes := shard.NewLanes[int32](workers, n)
-	outLanes.SetObs(opts.Obs)
-	inLanes.SetObs(opts.Obs)
-	var stop atomic.Bool
-	cws := make([]*countWorker, workers)
-	ws := make([]shard.BatchPlacer, workers)
-	for i := range ws {
-		w := &countWorker{id: i, n: n, out: outLanes, in: inLanes, stop: &stop}
-		cws[i], ws[i] = w, w
-	}
-	var m int64
-	err := shard.Run(shard.AbortStream{EdgeStream: src, Stop: &stop}, ws, opts, func(edges []graph.Edge, parts []int32) {
-		m += int64(len(edges))
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range cws {
-		if w.err != nil {
-			return nil, w.err
-		}
-	}
-	outDeg, err := outLanes.Drain()
-	if err != nil {
-		return nil, err
-	}
-	inDeg, err := inLanes.Drain()
-	if err != nil {
-		return nil, err
-	}
-	deg := make([]int32, n)
-	for v := range deg {
-		// Each lane fold guards its own array, but the total degree is
-		// their sum and can still wrap int32 on a pathological multigraph;
-		// wrapping would misclassify the hottest vertices as low-degree.
-		s := int64(outDeg[v]) + int64(inDeg[v])
-		if s > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: vertex %d total degree %d", shard.ErrOverflow, v, s)
-		}
-		deg[v] = int32(s)
-	}
-	csr := graph.AssembleCSR(n, m, tau, outDeg, inDeg, deg, store)
-
-	// Pass 2 (parallel): atomic slot claims; E_h2h spilled in stream order
-	// by the ordered collector (stores need not be concurrency-safe). A
-	// spill failure aborts the scan the same way.
-	fws := make([]shard.BatchPlacer, workers)
-	for i := range fws {
-		fws[i] = &fillWorker{csr: csr}
-	}
-	var fillStop atomic.Bool
-	var spillErr error
-	err = shard.Run(shard.AbortStream{EdgeStream: src, Stop: &fillStop}, fws, opts, func(edges []graph.Edge, parts []int32) {
-		if spillErr != nil {
-			return
-		}
-		for i := range edges {
-			if parts[i] != 0 {
-				if e := csr.SpillH2H(edges[i].U, edges[i].V); e != nil {
-					spillErr = e
-					fillStop.Store(true)
-					return
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if spillErr != nil {
-		return nil, spillErr
-	}
-	return csr, nil
-}
-
-// countWorker is one lane of the build's first pass: out-degrees and
-// in-degrees accumulate separately (they size the two segments of a vertex's
-// block), with the same validation as the sequential pass.
-type countWorker struct {
-	id      int
-	n       int
-	out, in *shard.Lanes[int32]
-	stop    *atomic.Bool
-	err     error
-}
-
-// fail records the worker's first error and aborts the dispatcher's scan.
-func (w *countWorker) fail(err error) {
-	w.err = err
-	w.stop.Store(true)
-}
-
-// PlaceBatch implements shard.BatchPlacer; parts is untouched (pre-pass).
-func (w *countWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
-	if w.err != nil {
-		return
-	}
-	for i := range edges {
-		u, v := edges[i].U, edges[i].V
-		if int(u) >= w.n || int(v) >= w.n {
-			w.fail(fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, w.n))
-			return
-		}
-		if u == v {
-			w.fail(fmt.Errorf("core: self-loop at vertex %d", u))
-			return
-		}
-		w.out.Add(w.id, int(u), 1)
-		w.in.Add(w.id, int(v), 1)
-	}
-	if err := w.out.Fold(w.id); err != nil {
-		w.fail(err)
-		return
-	}
-	if err := w.in.Fold(w.id); err != nil {
-		w.fail(err)
-	}
-}
-
-// fillWorker is one claim worker of the build's second pass: low-degree
-// endpoints get their adjacency slots claimed atomically; an edge between
-// two high-degree vertices is flagged in parts for the ordered collector to
-// spill.
-type fillWorker struct {
-	csr *graph.CSR
-}
-
-// PlaceBatch implements shard.BatchPlacer.
-func (w *fillWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
-	for i := range edges {
-		u, v := edges[i].U, edges[i].V
-		uh, vh := w.csr.IsHigh(u), w.csr.IsHigh(v)
-		if uh && vh {
-			parts[i] = 1
-			continue
-		}
-		parts[i] = 0
-		if !uh {
-			w.csr.ClaimOut(u, v)
-		}
-		if !vh {
-			w.csr.ClaimIn(v, u)
-		}
-	}
+	return graph.BuildCSR(src, tau, store)
 }

@@ -38,13 +38,6 @@ type HEP struct {
 	Seed int64
 	// Tracer observes NE++ column-array accesses (paging simulation).
 	Tracer Tracer
-	// BuildWorkers > 1 builds the CSR with the sharded two-pass builder
-	// (BuildCSRSharded, §7 future work: parallelism): batch-parallel degree
-	// counting plus atomic slot claims. The build is adjacency-equivalent
-	// to the sequential one (same segments as sets, same E_h2h order), but
-	// within-segment entry order depends on worker interleaving, so — like
-	// Workers — bit-identical runs need BuildWorkers ≤ 1.
-	BuildWorkers int
 	// Workers > 1 runs the informed streaming phase (§3.3) through the
 	// parallel sharded engine (internal/shard): E_h2h is placed by that
 	// many concurrent workers against the replica state NE++ left behind.
@@ -56,8 +49,8 @@ type HEP struct {
 	BatchEdges int
 
 	// Obs is the observability hook (nil = disabled): the CSR build, NE++
-	// and the h2h streaming phase record spans; the parallel build and
-	// streaming paths fold engine counters into it.
+	// and the h2h streaming phase record spans; the parallel streaming path
+	// folds engine counters into it.
 	Obs *obs.Obs
 
 	// LastStats holds the NE++ statistics of the most recent run.
@@ -88,16 +81,13 @@ func (h *HEP) params() (tau, alpha, lambda float64) {
 	return tau, alpha, lambda
 }
 
-// Partition implements part.Algorithm: it builds the pruned CSR (two passes
-// over src), runs NE++, then streams E_h2h.
+// Partition implements part.Algorithm: it builds the pruned CSR (two
+// single-goroutine passes over src, whatever Workers is), runs NE++, then
+// streams E_h2h.
 func (h *HEP) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	tau, _, _ := h.params()
-	bw := h.BuildWorkers
-	if bw < 1 {
-		bw = 1 // 0 keeps the sequential build (Resolve would mean all cores)
-	}
 	sp := h.Obs.Span("csr-build")
-	csr, err := BuildCSRSharded(src, tau, h.H2HStore, shard.Options{Workers: bw, BatchEdges: h.BatchEdges, Obs: h.Obs.Counters()})
+	csr, err := graph.BuildCSR(src, tau, h.H2HStore)
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +134,12 @@ func (h *HEP) PartitionCSR(csr *graph.CSR, k int) (*part.Result, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if h.RandomStream || h.Workers <= 1 {
+			// The batch engine counts the edges it delivers; the
+			// sequential runners do not, so edges_streamed reaches m at
+			// every Workers.
+			h.Obs.Counters().Add(0, obs.CtrEdgesStreamed, csr.H2H().Len())
 		}
 		res.SampleQuality(h.Obs)
 		sp.End()

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"hep/internal/gen"
 	"hep/internal/graph"
+	"hep/internal/obs"
 	"hep/internal/part"
 	"hep/internal/parttest"
 )
@@ -265,32 +268,50 @@ func TestHEPDeterministic(t *testing.T) {
 	}
 }
 
-// TestHEPShardedBuildQuality: the sharded build is adjacency-equivalent but
-// not order-identical (within-segment entry order depends on worker
-// interleaving), so HEP over it is pinned on quality, not bits — every edge
-// assigned exactly once, valid state, and replication factor within 2% of
-// the sequential build, the same tolerance the parallel streaming pin uses.
-func TestHEPShardedBuildQuality(t *testing.T) {
-	g := gen.BarabasiAlbert(2000, 6, 91)
-	seq := &HEP{Tau: 10}
-	rs, err := seq.Partition(g, 16)
-	if err != nil {
+// TestHEPGoldenAssignmentHash pins the Workers: 1 assignment of HEP-10 on
+// the OK stand-in to a hash recorded once (FNV-64a over u, v, partition in
+// delivery order). Run it under go test -cpu 1,2,4: the sequential path
+// must not depend on GOMAXPROCS.
+func TestHEPGoldenAssignmentHash(t *testing.T) {
+	const golden uint64 = 0x9eefbacfb792a5f0
+	g := gen.MustDataset("OK").Build(0.05)
+	h := &HEP{Tau: 10, Workers: 1}
+	sum := fnv.New64a()
+	var buf [12]byte
+	h.Sink = part.SinkFunc(func(u, v graph.V, p int) {
+		binary.LittleEndian.PutUint32(buf[0:], u)
+		binary.LittleEndian.PutUint32(buf[4:], v)
+		binary.LittleEndian.PutUint32(buf[8:], uint32(p))
+		sum.Write(buf[:])
+	})
+	if _, err := h.Partition(g, 32); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4} {
-		par := &HEP{Tau: 10, BuildWorkers: w}
-		rp, err := par.Partition(g, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.M != g.NumEdges() {
-			t.Fatalf("W=%d: assigned %d of %d edges", w, rp.M, g.NumEdges())
-		}
-		if err := rp.Validate(); err != nil {
-			t.Fatalf("W=%d: %v", w, err)
-		}
-		if rf, srf := rp.ReplicationFactor(), rs.ReplicationFactor(); rf > srf*1.02 {
-			t.Errorf("W=%d: sharded-build RF %.4f > sequential %.4f + 2%%", w, rf, srf)
+	if got := sum.Sum64(); got != golden {
+		t.Fatalf("assignment hash %#x, want %#x", got, golden)
+	}
+}
+
+// TestHEPEdgesStreamedCountsEachEdgeOnce pins the counter contract:
+// edges_streamed is the number of edges placed, m, at every Workers — the
+// CSR build's passes add nothing, and the E_h2h edges count once whether
+// the sequential runner or the batch engine places them.
+func TestHEPEdgesStreamedCountsEachEdgeOnce(t *testing.T) {
+	g := gen.MustDataset("TW").Build(0.05)
+	for _, w := range []int{1, 2} {
+		for _, random := range []bool{false, true} {
+			o := obs.New(w)
+			store := &graph.MemH2H{}
+			h := &HEP{Tau: 10, Workers: w, RandomStream: random, H2HStore: store, Obs: o}
+			if _, err := h.Partition(g, 16); err != nil {
+				t.Fatal(err)
+			}
+			if store.Len() == 0 {
+				t.Fatal("no E_h2h edges: the test would not cover the streaming phase")
+			}
+			if got := o.Counters().Total(obs.CtrEdgesStreamed); got != g.NumEdges() {
+				t.Errorf("W=%d random=%v: edges_streamed %d, want m=%d", w, random, got, g.NumEdges())
+			}
 		}
 	}
 }

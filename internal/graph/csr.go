@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"hep/internal/bitset"
 )
@@ -84,7 +83,12 @@ type CSR struct {
 //
 // Construction is the two-pass O(|E| + |V|) procedure of paper §4.1: the
 // first pass counts degrees and sizes the index arrays, the second pass
-// inserts edges into the column array or spills them to the H2H store.
+// inserts edges into the column array or spills them to the H2H store. Both
+// passes run on the calling goroutine over visitSlabs, so the result —
+// segment order and E_h2h order included — is a pure function of the
+// stream. The loops are memory-bound: a batch-parallel build with
+// lane-folded counts and atomic slot claims ran 2–3× slower per edge on two
+// cores.
 func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	if tau <= 0 {
 		return nil, fmt.Errorf("graph: tau must be positive, got %v", tau)
@@ -92,73 +96,47 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	n := src.NumVertices()
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
-	deg := make([]int32, n)
+	lim := MaxDegree
 	var m int64
 	var loopErr error
-	err := src.Edges(func(u, v V) bool {
-		if int(u) >= n || int(v) >= n {
-			loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
-			return false
-		}
-		if u == v {
-			loopErr = fmt.Errorf("graph: self-loop at vertex %d", u)
-			return false
-		}
-		outDeg[u]++
-		inDeg[v]++
-		deg[u]++
-		deg[v]++
-		m++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if loopErr != nil {
-		return nil, loopErr
-	}
-
-	c := AssembleCSR(n, m, tau, outDeg, inDeg, deg, store)
-
-	// Second pass: fill segments; outSize/inSize double as fill cursors.
-	//hep:unsync sequential builder: single-goroutine fill, the atomic Claim* cursors are for the parallel build only
-	err = src.Edges(func(u, v V) bool {
-		uh, vh := c.high.Has(u), c.high.Has(v)
-		if uh && vh {
-			if e := c.h2h.Append(u, v); e != nil {
-				loopErr = e
+	err := visitSlabs(src, func(edges []Edge) bool {
+		for _, e := range edges {
+			u, v := e.U, e.V
+			if int(u) >= n || int(v) >= n {
+				loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
 				return false
 			}
-			c.h2hLen++
-			return true
+			if u == v {
+				loopErr = fmt.Errorf("graph: self-loop at vertex %d", u)
+				return false
+			}
+			if outDeg[u] >= lim || inDeg[v] >= lim {
+				loopErr = fmt.Errorf("%w: edge (%d,%d)", ErrDegreeOverflow, u, v)
+				return false
+			}
+			outDeg[u]++
+			inDeg[v]++
 		}
-		if !uh {
-			c.col[c.outIdx[u]+int64(c.outSize[u])] = v
-			c.outSize[u]++
-		}
-		if !vh {
-			c.col[c.inIdx[v]+int64(c.inSize[v])] = u
-			c.inSize[v]++
-		}
+		m += int64(len(edges))
 		return true
 	})
+	if err == nil {
+		err = loopErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	if loopErr != nil {
-		return nil, loopErr
-	}
-	return c, nil
-}
 
-// AssembleCSR builds the sized-but-empty frame of a pruned CSR from the
-// first pass's per-vertex out/in-degree counts: it derives the mean degree
-// and the high-degree set, sizes the index and column arrays (high-degree
-// vertices get empty segments), and installs the H2H store (in-memory if
-// nil). The frame is what a second pass — sequential (BuildCSR) or
-// batch-parallel with atomic slot claims (core.BuildCSRSharded) — fills.
-// deg is adopted as the CSR's degree array, not copied.
-func AssembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store H2HStore) *CSR {
+	// The total degree is the sum of the two counts and can pass the limit
+	// even where neither count does.
+	deg := make([]int32, n)
+	for v := range deg {
+		d := int64(outDeg[v]) + int64(inDeg[v])
+		if d > int64(lim) {
+			return nil, fmt.Errorf("%w: vertex %d total degree %d", ErrDegreeOverflow, v, d)
+		}
+		deg[v] = int32(d)
+	}
 	mean := MeanDegree(n, m)
 	high := bitset.New(n)
 	if !math.IsInf(tau, 1) {
@@ -168,7 +146,6 @@ func AssembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store 
 			}
 		}
 	}
-
 	c := &CSR{
 		n: n, m: m, tau: tau, mean: mean,
 		outIdx:  make([]int64, n+1),
@@ -196,36 +173,37 @@ func AssembleCSR(n int, m int64, tau float64, outDeg, inDeg, deg []int32, store 
 	}
 	c.outIdx[n] = off
 	c.col = make([]V, off)
-	return c
-}
 
-// ClaimOut claims the next out-slot of u with an atomic cursor bump and
-// writes v there — the DNE-style slot claim concurrent fill workers use
-// during a parallel second pass (outSize doubles as the fill cursor, exactly
-// like the sequential builder, just bumped atomically). The segment was
-// sized by AssembleCSR, so a claim can never overrun it on the edge multiset
-// the first pass counted.
-func (c *CSR) ClaimOut(u, v V) {
-	pos := atomic.AddInt32(&c.outSize[u], 1) - 1
-	c.col[c.outIdx[u]+int64(pos)] = v
-}
-
-// ClaimIn claims the next in-slot of v and writes u there, like ClaimOut.
-func (c *CSR) ClaimIn(v, u V) {
-	pos := atomic.AddInt32(&c.inSize[v], 1) - 1
-	c.col[c.inIdx[v]+int64(pos)] = u
-}
-
-// SpillH2H appends an edge between two high-degree vertices to the H2H
-// store. Stores are not required to be concurrency-safe, so during a
-// parallel build only the ordered delivery goroutine may call this — which
-// also keeps the spill in exact stream order.
-func (c *CSR) SpillH2H(u, v V) error {
-	if err := c.h2h.Append(u, v); err != nil {
-		return err
+	// Second pass: fill segments; outSize/inSize double as fill cursors.
+	err = visitSlabs(src, func(edges []Edge) bool {
+		for _, e := range edges {
+			u, v := e.U, e.V
+			uh, vh := high.Has(u), high.Has(v)
+			if uh && vh {
+				if loopErr = c.h2h.Append(u, v); loopErr != nil {
+					return false
+				}
+				c.h2hLen++
+				continue
+			}
+			if !uh {
+				c.col[c.outIdx[u]+int64(c.outSize[u])] = v
+				c.outSize[u]++
+			}
+			if !vh {
+				c.col[c.inIdx[v]+int64(c.inSize[v])] = u
+				c.inSize[v]++
+			}
+		}
+		return true
+	})
+	if err == nil {
+		err = loopErr
 	}
-	c.h2hLen++
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // N returns the number of vertices.
@@ -263,8 +241,6 @@ func (c *CSR) HighSet() *bitset.Set { return c.high }
 
 // Out returns the valid out-list of v as a mutable slice view. Entry i is
 // the right-hand endpoint of an edge (v, Out(v)[i]) in input orientation.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) Out(v V) []V {
 	s := c.outIdx[v]
 	return c.col[s : s+int64(c.outSize[v])]
@@ -272,8 +248,6 @@ func (c *CSR) Out(v V) []V {
 
 // In returns the valid in-list of v. Entry i is the left-hand endpoint of an
 // edge (In(v)[i], v) in input orientation.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) In(v V) []V {
 	s := c.inIdx[v]
 	return c.col[s : s+int64(c.inSize[v])]
@@ -282,14 +256,10 @@ func (c *CSR) In(v V) []V {
 // ValidDegree returns the number of valid (not yet removed) entries in v's
 // lists. For a vertex outside the core set at a partition boundary this is
 // exactly its number of unassigned edges (see DESIGN.md).
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) ValidDegree(v V) int32 { return c.outSize[v] + c.inSize[v] }
 
 // RemoveOutAt removes entry i of v's out-list by swapping in the last valid
 // entry and shrinking the size field — the constant-time removal of §3.2.2.
-//
-//hep:unsync partition phase: single-owner mutation after the build, no Claim* in flight
 func (c *CSR) RemoveOutAt(v V, i int32) {
 	s := c.outIdx[v]
 	last := c.outSize[v] - 1
@@ -298,8 +268,6 @@ func (c *CSR) RemoveOutAt(v V, i int32) {
 }
 
 // RemoveInAt removes entry i of v's in-list, like RemoveOutAt.
-//
-//hep:unsync partition phase: single-owner mutation after the build, no Claim* in flight
 func (c *CSR) RemoveInAt(v V, i int32) {
 	s := c.inIdx[v]
 	last := c.inSize[v] - 1
@@ -309,13 +277,9 @@ func (c *CSR) RemoveInAt(v V, i int32) {
 
 // OutSpan returns the column-array offset and valid length of v's out
 // segment (used by the paging simulator's access trace).
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) OutSpan(v V) (offset int64, n int32) { return c.outIdx[v], c.outSize[v] }
 
 // InSpan returns the column-array offset and valid length of v's in segment.
-//
-//hep:unsync read phase: fill cursors are final once the (parallel) build returns
 func (c *CSR) InSpan(v V) (offset int64, n int32) { return c.inIdx[v], c.inSize[v] }
 
 // ColLen returns the length of the column array (total allocated entries).

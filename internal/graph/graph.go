@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // V is a vertex identifier.
@@ -52,8 +53,8 @@ type EdgeStream interface {
 }
 
 // ChunkStream is an EdgeStream that can additionally *lend* its edges as
-// decoded contiguous slabs, so a consumer (the sharded batch engine, a
-// pre-pass) can slice batches out of the producer's own buffers instead of
+// decoded contiguous slabs, so a consumer (the sharded batch engine,
+// visitSlabs) can slice batches out of the producer's own buffers instead of
 // re-copying every edge on the dispatch thread.
 //
 // Chunks calls yield with consecutive slabs covering exactly the edges
@@ -70,19 +71,10 @@ type ChunkStream interface {
 	Chunks(yield func(edges []Edge, release func()) bool) error
 }
 
-// AsChunks returns the chunk-lending form of src, if it has one. Wrappers
-// that implement ChunkStream only when their inner stream does (e.g. the
-// sharded engine's abort wrapper) signal availability through an optional
-// LendsChunks method.
+// AsChunks returns the chunk-lending form of src, if it has one.
 func AsChunks(src EdgeStream) (ChunkStream, bool) {
 	cs, ok := src.(ChunkStream)
-	if !ok {
-		return nil, false
-	}
-	if g, conditional := src.(interface{ LendsChunks() bool }); conditional && !g.LendsChunks() {
-		return nil, false
-	}
-	return cs, true
+	return cs, ok
 }
 
 // MemGraph is an in-memory edge list implementing EdgeStream.
@@ -147,29 +139,104 @@ func (g *MemGraph) Chunks(yield func(edges []Edge, release func()) bool) error {
 // [0, NumVertices).
 var ErrVertexRange = errors.New("graph: vertex id out of range")
 
+// ErrDegreeOverflow is returned when a vertex's degree count would pass
+// MaxDegree — a pathological multigraph replaying the same edge billions of
+// times. Wrapping negative would silently misclassify the hottest vertices
+// as low-degree and corrupt every HDRF score, so the count fails instead.
+var ErrDegreeOverflow = errors.New("graph: vertex degree overflows int32")
+
+// MaxDegree is the largest value a degree count may reach. It is a variable
+// only so tests can lower it and exercise the overflow guard without
+// streaming 2^31 edges.
+var MaxDegree int32 = math.MaxInt32
+
+// slabEdges is the size of the slab a non-lending stream is copied into.
+const slabEdges = 4096
+
+// visitSlabs calls visit with consecutive read-only slabs covering every
+// edge of src in stream order, until the stream ends or visit returns
+// false. A ChunkStream lends its own slabs, each released as soon as visit
+// returns; any other stream is copied through one reused slab of slabEdges
+// edges. visit must not retain a slab after it returns.
+//
+// It is the single-goroutine edge loop of the pre-passes (degree counts and
+// both CSR build passes): iterating slabs keeps the per-edge loop free of
+// indirect calls.
+func visitSlabs(src EdgeStream, visit func(edges []Edge) bool) error {
+	if cs, ok := AsChunks(src); ok {
+		return cs.Chunks(func(edges []Edge, release func()) bool {
+			more := visit(edges)
+			release()
+			return more
+		})
+	}
+	buf := make([]Edge, 0, slabEdges)
+	stopped := false
+	err := src.Edges(func(u, v V) bool {
+		buf = append(buf, Edge{u, v})
+		if len(buf) < slabEdges {
+			return true
+		}
+		stopped = !visit(buf)
+		buf = buf[:0]
+		return !stopped
+	})
+	if err == nil && !stopped && len(buf) > 0 {
+		visit(buf)
+	}
+	return err
+}
+
 // Degrees computes the total degree of every vertex in src (each undirected
 // edge contributes 1 to both endpoints; self-loops contribute 2 to their
-// vertex). It returns the degree array and the number of edges seen.
+// vertex). It returns the degree array and the number of edges seen. A
+// vertex id at or beyond src.NumVertices() returns ErrVertexRange, and a
+// count that would pass MaxDegree returns ErrDegreeOverflow.
 func Degrees(src EdgeStream) ([]int32, int64, error) {
-	n := src.NumVertices()
-	deg := make([]int32, n)
+	return countDegrees(src, false)
+}
+
+// DegreesGrow is the discovery form of Degrees, for streams opened without
+// a vertex-count scan: the degree array starts at src.NumVertices() entries
+// and grows to max id + 1 as larger ids appear, instead of failing.
+func DegreesGrow(src EdgeStream) ([]int32, int64, error) {
+	return countDegrees(src, true)
+}
+
+func countDegrees(src EdgeStream, grow bool) ([]int32, int64, error) {
+	deg := make([]int32, src.NumVertices())
+	lim := MaxDegree
 	var m int64
-	var rangeErr error
-	err := src.Edges(func(u, v V) bool {
-		if int(u) >= n || int(v) >= n {
-			rangeErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, n)
-			return false
+	var loopErr error
+	err := visitSlabs(src, func(edges []Edge) bool {
+		for _, e := range edges {
+			u, v := e.U, e.V
+			if int(u) >= len(deg) || int(v) >= len(deg) {
+				if !grow {
+					loopErr = fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, u, v, len(deg))
+					return false
+				}
+				deg = append(deg, make([]int32, int(max(u, v))+1-len(deg))...)
+			}
+			if deg[u] >= lim {
+				loopErr = fmt.Errorf("%w: vertex %d", ErrDegreeOverflow, u)
+				return false
+			}
+			deg[u]++
+			if deg[v] >= lim {
+				loopErr = fmt.Errorf("%w: vertex %d", ErrDegreeOverflow, v)
+				return false
+			}
+			deg[v]++
 		}
-		deg[u]++
-		deg[v]++
-		m++
+		m += int64(len(edges))
 		return true
 	})
+	if err == nil {
+		err = loopErr
+	}
 	if err != nil {
 		return nil, 0, err
-	}
-	if rangeErr != nil {
-		return nil, 0, rangeErr
 	}
 	return deg, m, nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -342,52 +343,255 @@ func TestCSRMemBytesAndSpans(t *testing.T) {
 	}
 }
 
-func TestAssembleCSRMatchesBuildCSRFrame(t *testing.T) {
-	// AssembleCSR is the shared sizing step of the sequential builder and
-	// the sharded builder (internal/core); claiming every slot sequentially
-	// against an assembled frame must reproduce BuildCSR exactly.
-	edges := randomSimpleEdges(7, 120, 700)
-	g := NewMemGraph(120, edges)
-	for _, tau := range []float64{math.Inf(1), 5, 1.2} {
-		seq, err := BuildCSR(g, tau, nil)
-		if err != nil {
-			t.Fatal(err)
+// slabbedGraph lends its edges in slabs of the given size and counts the
+// slabs it lends and the releases it gets back.
+type slabbedGraph struct {
+	*MemGraph
+	slab           int
+	lent, released int
+}
+
+func (g *slabbedGraph) Chunks(yield func(edges []Edge, release func()) bool) error {
+	for off := 0; off < len(g.E); off += g.slab {
+		g.lent++
+		if !yield(g.E[off:min(off+g.slab, len(g.E))], func() { g.released++ }) {
+			return nil
 		}
-		outDeg := make([]int32, 120)
-		inDeg := make([]int32, 120)
-		deg := make([]int32, 120)
-		for _, e := range edges {
-			outDeg[e.U]++
-			inDeg[e.V]++
-			deg[e.U]++
-			deg[e.V]++
-		}
-		c := AssembleCSR(120, int64(len(edges)), tau, outDeg, inDeg, deg, nil)
-		for _, e := range edges {
-			uh, vh := c.IsHigh(e.U), c.IsHigh(e.V)
-			if uh && vh {
-				if err := c.SpillH2H(e.U, e.V); err != nil {
-					t.Fatal(err)
+	}
+	return nil
+}
+
+// edgesOnly hides any chunk lending of the wrapped stream, so consumers take
+// the copy-slab path of visitSlabs.
+type edgesOnly struct{ EdgeStream }
+
+// countingStream counts the edges a consumer actually pulled.
+type countingStream struct {
+	EdgeStream
+	yielded int
+}
+
+func (s *countingStream) Edges(yield func(u, v V) bool) error {
+	return s.EdgeStream.Edges(func(u, v V) bool {
+		s.yielded++
+		return yield(u, v)
+	})
+}
+
+// TestBuildCSRSegmentsFollowStreamOrder pins the CSR bit for bit, not just
+// as an edge set: every out-segment lists its neighbours in stream order,
+// every in-segment likewise, E_h2h is spilled in stream order, and the
+// result is the same whether the stream lends slabs (of any size, so slab
+// boundaries fall mid-segment) or is copied through the fallback slab.
+func TestBuildCSRSegmentsFollowStreamOrder(t *testing.T) {
+	const n = 900
+	edges := randomSimpleEdges(11, n, 3*slabEdges)
+	sources := map[string]func() EdgeStream{
+		"mem":       func() EdgeStream { return NewMemGraph(n, edges) },
+		"slab=1000": func() EdgeStream { return &slabbedGraph{MemGraph: NewMemGraph(n, edges), slab: 1000} },
+		"slab=1":    func() EdgeStream { return &slabbedGraph{MemGraph: NewMemGraph(n, edges), slab: 1} },
+		"copy":      func() EdgeStream { return edgesOnly{NewMemGraph(n, edges)} },
+	}
+	for _, tau := range []float64{math.Inf(1), 3, 1.2} {
+		for name, open := range sources {
+			c, err := BuildCSR(open(), tau, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, ins := make([][]V, n), make([][]V, n)
+			var h2h []Edge
+			for _, e := range edges {
+				uh, vh := c.IsHigh(e.U), c.IsHigh(e.V)
+				if uh && vh {
+					h2h = append(h2h, e)
+					continue
 				}
-				continue
+				if !uh {
+					outs[e.U] = append(outs[e.U], e.V)
+				}
+				if !vh {
+					ins[e.V] = append(ins[e.V], e.U)
+				}
 			}
-			if !uh {
-				c.ClaimOut(e.U, e.V)
+			var off int64
+			for v := 0; v < n; v++ {
+				if got, _ := c.OutSpan(V(v)); got != off {
+					t.Fatalf("tau=%v %s v=%d: out offset %d, want %d", tau, name, v, got, off)
+				}
+				if !equalV(c.Out(V(v)), outs[v]) || !equalV(c.In(V(v)), ins[v]) {
+					t.Fatalf("tau=%v %s v=%d: segments out of stream order", tau, name, v)
+				}
+				off += int64(len(outs[v]) + len(ins[v]))
 			}
-			if !vh {
-				c.ClaimIn(e.V, e.U)
+			var got []Edge
+			c.H2H().Edges(func(u, v V) bool { got = append(got, Edge{u, v}); return true })
+			if len(got) != len(h2h) {
+				t.Fatalf("tau=%v %s: %d h2h edges, want %d", tau, name, len(got), len(h2h))
+			}
+			for i := range got {
+				if got[i] != h2h[i] {
+					t.Fatalf("tau=%v %s: h2h order differs at %d", tau, name, i)
+				}
+			}
+			if c.M() != int64(len(edges)) || c.ColLen() != off {
+				t.Fatalf("tau=%v %s: m=%d col=%d, want %d/%d", tau, name, c.M(), c.ColLen(), len(edges), off)
 			}
 		}
-		if c.M() != seq.M() || c.InMemEdges() != seq.InMemEdges() || c.ColLen() != seq.ColLen() {
-			t.Fatalf("tau=%v: frame totals differ", tau)
+	}
+}
+
+func equalV(a, b []V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
-		for v := 0; v < 120; v++ {
-			if len(c.Out(V(v))) != len(seq.Out(V(v))) || len(c.In(V(v))) != len(seq.In(V(v))) {
-				t.Fatalf("tau=%v v=%d: segment sizes differ", tau, v)
+	}
+	return true
+}
+
+// TestDegreesLendingMatchesCopying: the degree count is a pure function of
+// the edge multiset, whichever way visitSlabs reads the stream.
+func TestDegreesLendingMatchesCopying(t *testing.T) {
+	const n = 700
+	edges := randomSimpleEdges(5, n, 2*slabEdges+17)
+	want, wm, err := Degrees(NewMemGraph(n, edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []EdgeStream{
+		&slabbedGraph{MemGraph: NewMemGraph(n, edges), slab: 333},
+		edgesOnly{NewMemGraph(n, edges)},
+	} {
+		for _, count := range []func(EdgeStream) ([]int32, int64, error){Degrees, DegreesGrow} {
+			got, m, err := count(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.IsHigh(V(v)) != seq.IsHigh(V(v)) || c.Degree(V(v)) != seq.Degree(V(v)) {
-				t.Fatalf("tau=%v v=%d: pruning state differs", tau, v)
+			if m != wm || !equalInt32(got, want) {
+				t.Fatalf("%T: degrees differ from the single-slab count", src)
 			}
 		}
+	}
+}
+
+func equalInt32(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestDegreesGrowDiscoversDomain(t *testing.T) {
+	g := NewMemGraph(3, []Edge{{U: 0, V: 9}, {U: 9, V: 2}, {U: 5, V: 0}})
+	if _, _, err := Degrees(g); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("strict count got %v, want ErrVertexRange", err)
+	}
+	deg, m, err := DegreesGrow(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != 3 || !equalInt32(deg, []int32{2, 0, 1, 0, 0, 1, 0, 0, 0, 2}) {
+		t.Fatalf("m=%d deg=%v", m, deg)
+	}
+}
+
+// TestDegreeOverflowGuard lowers MaxDegree and replays a multigraph past it:
+// both degree contracts and the CSR build's count must fail with
+// ErrDegreeOverflow instead of wrapping.
+func TestDegreeOverflowGuard(t *testing.T) {
+	defer func(old int32) { MaxDegree = old }(MaxDegree)
+	MaxDegree = 3
+	over := NewMemGraph(3, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 1}, {U: 0, V: 2}})
+	ok := NewMemGraph(3, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 1}})
+	for name, count := range map[string]func(EdgeStream) ([]int32, int64, error){"strict": Degrees, "grow": DegreesGrow} {
+		if _, _, err := count(over); !errors.Is(err, ErrDegreeOverflow) {
+			t.Fatalf("%s: got %v, want ErrDegreeOverflow", name, err)
+		}
+		if _, _, err := count(ok); err != nil {
+			t.Fatalf("%s: degree exactly at the limit rejected: %v", name, err)
+		}
+		// A self-loop contributes 2, so it may not start past MaxDegree-1.
+		loop := NewMemGraph(1, []Edge{{U: 0, V: 0}, {U: 0, V: 0}})
+		if _, _, err := count(loop); !errors.Is(err, ErrDegreeOverflow) {
+			t.Fatalf("%s: self-loop overflow got %v, want ErrDegreeOverflow", name, err)
+		}
+	}
+	// Vertex 0 has out-degree 2 and in-degree 2: neither count passes the
+	// limit, their sum does.
+	sum := NewMemGraph(3, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 0}, {U: 2, V: 0}})
+	if _, err := BuildCSR(sum, 10, nil); !errors.Is(err, ErrDegreeOverflow) {
+		t.Fatalf("BuildCSR total degree got %v, want ErrDegreeOverflow", err)
+	}
+	if _, err := BuildCSR(over, 10, nil); !errors.Is(err, ErrDegreeOverflow) {
+		t.Fatalf("BuildCSR out-degree got %v, want ErrDegreeOverflow", err)
+	}
+	if _, err := BuildCSR(ok, 10, nil); err != nil {
+		t.Fatalf("BuildCSR at the limit rejected: %v", err)
+	}
+}
+
+// TestDegreesStopsScanAtFirstError: a bad edge stops the pass promptly, not
+// after streaming the whole input. The copy path reads at most one slab
+// past the error; the lending path requests no slab after the failing one
+// and releases every slab it was lent.
+func TestDegreesStopsScanAtFirstError(t *testing.T) {
+	const total = 200_000
+	edges := make([]Edge, total)
+	edges[0] = Edge{U: 0, V: 1 << 30}
+	for i := 1; i < total; i++ {
+		edges[i] = Edge{U: V(i % 64), V: V((i + 1) % 64)}
+	}
+	src := &countingStream{EdgeStream: NewMemGraph(64, edges)}
+	if _, _, err := Degrees(src); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("got %v, want ErrVertexRange", err)
+	}
+	if src.yielded > slabEdges {
+		t.Fatalf("copy path scanned %d of %d edges after the error", src.yielded, total)
+	}
+	lend := &slabbedGraph{MemGraph: NewMemGraph(64, edges), slab: 1024}
+	if _, err := BuildCSR(lend, 10, nil); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("got %v, want ErrVertexRange", err)
+	}
+	if lend.lent != 1 || lend.released != 1 {
+		t.Fatalf("lent %d slabs, released %d; want 1/1", lend.lent, lend.released)
+	}
+}
+
+// TestVisitSlabsReleasesEverySlab pins the lending discipline: each lent
+// slab is released exactly once whether the visitor runs to the end or
+// stops early, and no slab is requested after a stop.
+func TestVisitSlabsReleasesEverySlab(t *testing.T) {
+	g := &slabbedGraph{MemGraph: NewMemGraph(10, randomSimpleEdges(3, 10, 40)), slab: 4}
+	var seen int
+	if err := visitSlabs(g, func(edges []Edge) bool { seen += len(edges); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(g.E) || g.released != g.lent {
+		t.Fatalf("full visit saw %d of %d edges, released %d of %d slabs", seen, len(g.E), g.released, g.lent)
+	}
+	g.lent, g.released = 0, 0
+	calls := 0
+	if err := visitSlabs(g, func([]Edge) bool { calls++; return calls < 2 }); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 || g.lent != 2 || g.released != 2 {
+		t.Fatalf("stopped visit: %d calls, lent %d, released %d; want 2/2/2", calls, g.lent, g.released)
+	}
+	// The copy path hands out slabs of slabEdges and a short tail.
+	var sizes []int
+	big := edgesOnly{NewMemGraph(64, make([]Edge, slabEdges+5))}
+	if err := visitSlabs(big, func(edges []Edge) bool { sizes = append(sizes, len(edges)); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 2 || sizes[0] != slabEdges || sizes[1] != 5 {
+		t.Fatalf("copy slabs %v, want [%d 5]", sizes, slabEdges)
 	}
 }

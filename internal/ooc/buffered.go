@@ -144,11 +144,12 @@ type Buffered struct {
 	// the region expansion itself (up to Workers concurrent expanders, each
 	// growing a region into a distinct partition and claiming edges by CAS
 	// on the batch claim array — see expand_par.go) and the per-edge
-	// informed-HDRF fallback through the sharded engine. Workers ≤ 1 keeps
-	// the exact sequential expansion, which is the determinism guarantee.
+	// informed-HDRF fallback through the sharded engine. The degree pass
+	// is single-goroutine at every Workers. Workers ≤ 1 keeps the exact
+	// sequential expansion, which is the determinism guarantee.
 	Workers int
 	// BatchEdges pins the sharded engine's fan-out batch size for the
-	// degree pass and the parallel fallback (0 = the engine default).
+	// parallel fallback (0 = the engine default).
 	BatchEdges int
 	// ParallelFallbackMin is the minimum number of leftover edges worth
 	// fanning out (0 = default 2048; below it the sequential loop wins).
@@ -312,9 +313,9 @@ func (st *batchState) bytes() int64 {
 // seedScanLimit bounds the affinity scan of the active list per seed choice.
 const seedScanLimit = 64
 
-// workersOrOne clamps the Workers knob for pre-pass fan-out: the zero value
-// historically means sequential here (unlike shard.Options, whose 0 resolves
-// to all cores).
+// workersOrOne clamps the Workers knob for the mini-CSR fill fan-out: the
+// zero value historically means sequential here (unlike shard.Options,
+// whose 0 resolves to all cores).
 func (b *Buffered) workersOrOne() int {
 	if b.Workers < 1 {
 		return 1
@@ -331,11 +332,9 @@ func (b *Buffered) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	bufEdges, lambda, alpha := b.params()
 	b.LastStats = BufferedStats{}
 
-	// Exact chunked degree pass; with Workers > 1 it fans out through the
-	// batch engine's reduction lanes (bit-identical output, see
-	// DegreePassParallel).
+	// Exact chunked degree pass, single-goroutine at every Workers.
 	sp := b.Obs.Span("degree-pass")
-	deg, m, err := DegreePassParallel(src, shard.Options{Workers: b.workersOrOne(), BatchEdges: b.BatchEdges, Obs: b.Obs.Counters()})
+	deg, m, err := DegreePass(src)
 	if err != nil {
 		return nil, err
 	}
@@ -552,10 +551,10 @@ const parallelFillMin = 1 << 14
 
 // fillAdjacencyParallel is the concurrent form of the mini-CSR adjacency
 // fill: the batch is split into contiguous ranges and each worker claims
-// slots with atomic cursor bumps on the offset array — the same DNE-style
-// claim discipline as core.BuildCSRSharded's second pass. Segment contents
-// match the sequential fill as sets; within-segment order depends on worker
-// interleaving, which is covered by the Workers > 1 nondeterminism contract.
+// slots with atomic cursor bumps on the offset array — the DNE-style claim
+// discipline. Segment contents match the sequential fill as sets;
+// within-segment order depends on worker interleaving, which is covered by
+// the Workers > 1 nondeterminism contract.
 func (b *Buffered) fillAdjacencyParallel(st *batchState, localID []int32, workers int) {
 	batch := st.batch
 	chunk := (len(batch) + workers - 1) / workers

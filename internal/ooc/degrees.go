@@ -1,23 +1,14 @@
 package ooc
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"hep/internal/graph"
 	"hep/internal/shard"
 )
 
 // ErrDegreeOverflow is returned when a vertex's degree exceeds the int32
 // range — a pathological multigraph replaying the same edge billions of
-// times. Wrapping negative would silently corrupt θ(u) in every downstream
-// HDRF score, so the pass fails instead.
-var ErrDegreeOverflow = errors.New("ooc: vertex degree overflows int32")
-
-// maxDegree is the largest representable degree; a variable so tests can
-// lower it and exercise the overflow guard without streaming 2^31 edges.
-var maxDegree int32 = math.MaxInt32
+// times. It is graph.ErrDegreeOverflow: every degree count shares the guard.
+var ErrDegreeOverflow = graph.ErrDegreeOverflow
 
 // DegreePass computes exact vertex degrees in one pass over src, holding
 // only the degree array plus whatever src keeps in flight (one chunk for a
@@ -25,53 +16,15 @@ var maxDegree int32 = math.MaxInt32
 // The degree array grows on demand, so the pass also discovers the vertex
 // count: len(deg) is max id + 1 (or src.NumVertices() if larger). Each
 // undirected edge contributes 1 to both endpoints; self-loops contribute 2.
+// It is graph.DegreesGrow.
 func DegreePass(src graph.EdgeStream) (deg []int32, m int64, err error) {
-	deg = make([]int32, src.NumVertices())
-	var overflow graph.V
-	overflowed := false
-	err = src.Edges(func(u, v graph.V) bool {
-		hi := u
-		if v > hi {
-			hi = v
-		}
-		if int64(hi) >= int64(len(deg)) {
-			deg = append(deg, make([]int32, int(hi)+1-len(deg))...)
-		}
-		if deg[u] >= maxDegree || deg[v] >= maxDegree ||
-			(u == v && deg[u] >= maxDegree-1) {
-			overflow, overflowed = u, true
-			if deg[v] >= maxDegree {
-				overflow = v
-			}
-			return false
-		}
-		deg[u]++
-		deg[v]++
-		m++
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if overflowed {
-		return nil, 0, fmt.Errorf("%w: vertex %d", ErrDegreeOverflow, overflow)
-	}
-	return deg, m, nil
+	return graph.DegreesGrow(src)
 }
 
-// DegreePassParallel is DegreePass through the parallel batch engine
-// (internal/shard): opts.Resolve() workers accumulate degree deltas into
-// per-worker reduction lanes and fold them at batch boundaries. Addition
-// commutes, so the output is bit-identical to DegreePass whatever the worker
-// interleaving; an int32 overflow is detected at the fold and reported as
-// ErrDegreeOverflow. With one worker it routes to the sequential pass.
+// DegreePassParallel is DegreePass; opts is ignored.
+//
+// Deprecated: the degree pass is single-goroutine (a batch-parallel pass
+// ran about 8× slower per edge on two cores). Call DegreePass.
 func DegreePassParallel(src graph.EdgeStream, opts shard.Options) (deg []int32, m int64, err error) {
-	if opts.Resolve() <= 1 {
-		return DegreePass(src)
-	}
-	deg, m, err = shard.DegreesGrow(src, opts)
-	if errors.Is(err, shard.ErrOverflow) {
-		return nil, 0, fmt.Errorf("%w: %v", ErrDegreeOverflow, err)
-	}
-	return deg, m, err
+	return DegreePass(src)
 }

@@ -9,10 +9,10 @@ import (
 	"hep/internal/shard"
 )
 
-// TestDegreePassParallelBitIdentical pins the parallel degree pre-pass to
-// the sequential one on the paper's power-law stand-ins: same array length,
-// same every entry, same edge count, at W ∈ {2, 4, 8}. Addition commutes,
-// so any divergence is an engine bug, not tolerable drift.
+// TestDegreePassParallelBitIdentical pins the deprecated DegreePassParallel
+// forward to DegreePass on the paper's power-law stand-ins: same array
+// length, same every entry, same edge count, whatever worker count it is
+// handed.
 func TestDegreePassParallelBitIdentical(t *testing.T) {
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.05)
@@ -42,7 +42,7 @@ func TestDegreePassParallelBitIdentical(t *testing.T) {
 
 // TestDegreePassParallelDiscoversFromFile runs both passes over a chunked
 // on-disk stream opened without vertex discovery (NumVertices() == 0, the
-// count-less shape): the parallel pass must discover the same domain.
+// count-less shape): the forward must discover the same domain.
 func TestDegreePassParallelDiscoversFromFile(t *testing.T) {
 	g := gen.CommunityPowerLaw(2000, 25, 6, 0.2, 77)
 	path := writeGraphFile(t, g)
@@ -75,8 +75,8 @@ func TestDegreePassParallelDiscoversFromFile(t *testing.T) {
 // replays a multigraph past it: the pass must fail with ErrDegreeOverflow
 // instead of wrapping negative and corrupting θ(u) downstream.
 func TestDegreePassOverflowGuard(t *testing.T) {
-	defer func(old int32) { maxDegree = old }(maxDegree)
-	maxDegree = 3
+	defer func(old int32) { graph.MaxDegree = old }(graph.MaxDegree)
+	graph.MaxDegree = 3
 
 	// Vertex 0 reaches degree 4 on the fourth edge.
 	g := graph.NewMemGraph(5, []graph.Edge{
@@ -92,26 +92,22 @@ func TestDegreePassOverflowGuard(t *testing.T) {
 		t.Fatalf("degree at the bound rejected: %v", err)
 	}
 
-	// A self-loop contributes 2, so it may not start past maxDegree-1.
+	// A self-loop contributes 2, so it may not start past MaxDegree-1.
 	loop := graph.NewMemGraph(2, []graph.Edge{{U: 1, V: 1}, {U: 1, V: 1}})
 	if _, _, err := DegreePass(loop); !errors.Is(err, ErrDegreeOverflow) {
 		t.Fatalf("self-loop overflow got %v, want ErrDegreeOverflow", err)
 	}
 }
 
-// TestDegreePassParallelOverflow pins the guard the parallel pass relies on:
-// an int32 lane fold that would wrap returns shard.ErrOverflow (which
-// DegreePassParallel rewraps as ErrDegreeOverflow). Reaching it through the
-// full pass would need 2^31 streamed edges, so the fold is driven directly.
+// TestDegreePassParallelOverflow: the deprecated forward keeps the
+// overflow guard at any worker count.
 func TestDegreePassParallelOverflow(t *testing.T) {
-	l := shard.NewLanes[int32](1, 1)
-	l.Add(0, 0, 1<<31-1)
-	if err := l.Fold(0); err != nil {
-		t.Fatal(err)
-	}
-	l.Add(0, 0, 1)
-	err := l.Fold(0)
-	if !errors.Is(err, shard.ErrOverflow) {
-		t.Fatalf("fold returned %v, want shard.ErrOverflow", err)
+	defer func(old int32) { graph.MaxDegree = old }(graph.MaxDegree)
+	graph.MaxDegree = 2
+	g := graph.NewMemGraph(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
+	for _, w := range []int{1, 2, 4} {
+		if _, _, err := DegreePassParallel(g, shard.Options{Workers: w}); !errors.Is(err, ErrDegreeOverflow) {
+			t.Fatalf("W=%d: got %v, want ErrDegreeOverflow", w, err)
+		}
 	}
 }

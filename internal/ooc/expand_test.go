@@ -228,8 +228,8 @@ func TestParallelExpansionTinyBatches(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionAbortsOnWorkerError mirrors the batch engine's
-// AbortStream discipline at the region level: the first worker error stops
+// TestParallelExpansionAbortsOnWorkerError pins the prompt-abort
+// discipline at the region level: the first worker error stops
 // every expander promptly and surfaces from Partition.
 func TestParallelExpansionAbortsOnWorkerError(t *testing.T) {
 	g := gen.MustDataset("OK").Build(0.05)

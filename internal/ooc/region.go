@@ -194,8 +194,7 @@ func (pl *expandPlan) release(w, p int) {
 	pl.mu.Unlock()
 }
 
-// fail records the first worker error and aborts every expander promptly —
-// the AbortStream discipline of the batch engine applied to region growing:
+// fail records the first worker error and aborts every expander promptly:
 // workers observe stop at their next candidate, core-move or grant and
 // return instead of growing the rest of the batch.
 func (pl *expandPlan) fail(err error) {

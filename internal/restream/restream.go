@@ -28,7 +28,8 @@ type Restream struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 runs every pass through the parallel sharded engine —
+	// Workers > 1 runs every streaming pass through the parallel sharded
+	// engine (the degree pre-pass stays single-goroutine) —
 	// re-streaming parallelizes naturally, since later passes score
 	// affinity against a frozen prior state that every worker can read
 	// without coordination. Workers ≤ 1 keeps the sequential passes.
@@ -65,17 +66,9 @@ func (r *Restream) Partition(src graph.EdgeStream, k int) (*part.Result, error) 
 	opts := shard.Options{Workers: r.Workers, BatchEdges: r.BatchEdges, Obs: r.Obs.Counters(), Hub: r.Obs}
 	parallel := r.Workers > 1
 
-	// Exact-degree pre-pass; with Workers > 1 it fans out through the same
-	// batch engine as the streaming passes (bit-identical folded output).
-	var deg []int32
-	var m int64
-	var err error
+	// Exact-degree pre-pass, single-goroutine at every Workers.
 	sp := r.Obs.Span("degree-pass")
-	if parallel {
-		deg, m, err = shard.Degrees(src, opts)
-	} else {
-		deg, m, err = graph.Degrees(src)
-	}
+	deg, m, err := graph.Degrees(src)
 	if err != nil {
 		return nil, err
 	}

@@ -211,54 +211,6 @@ func (s *alternatingSizer) NextBatch() int {
 	return s.b
 }
 
-// TestAbortStreamReleasesSlabs pins the abort discipline of the lending
-// path: once Stop is set, AbortStream.Chunks refuses further slabs and
-// releases the refused slab itself.
-func TestAbortStreamReleasesSlabs(t *testing.T) {
-	src := newSlabSource(101, 50, 4)
-	var stop atomic.Bool
-	as := shard.AbortStream{EdgeStream: src, Stop: &stop}
-	if !as.LendsChunks() {
-		t.Fatal("AbortStream over a lending source must lend")
-	}
-	cs, ok := graph.AsChunks(as)
-	if !ok {
-		t.Fatal("AsChunks(AbortStream over lending source) = false")
-	}
-	yields := 0
-	if err := cs.Chunks(func(edges []graph.Edge, release func()) bool {
-		yields++
-		stop.Store(true)
-		release()
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if yields != 1 {
-		t.Fatalf("yielded %d slabs after Stop, want 1", yields)
-	}
-	if n := src.released[0].Load(); n != 1 {
-		t.Fatalf("consumed slab released %d times, want 1", n)
-	}
-	if n := src.released[1].Load(); n != 1 {
-		t.Fatalf("refused slab released %d times, want 1 (AbortStream must release it)", n)
-	}
-	for i := 2; i < 4; i++ {
-		if n := src.released[i].Load(); n != 0 {
-			t.Fatalf("never-lent slab %d released %d times", i, n)
-		}
-	}
-
-	// A non-lending source wrapped in AbortStream must not advertise chunks.
-	plain := edgesOnly{s: src}
-	if (shard.AbortStream{EdgeStream: plain, Stop: &stop}).LendsChunks() {
-		t.Fatal("AbortStream over a plain source claims to lend")
-	}
-	if _, ok := graph.AsChunks(shard.AbortStream{EdgeStream: plain, Stop: &stop}); ok {
-		t.Fatal("AsChunks(AbortStream over plain source) = true")
-	}
-}
-
 // TestRunOneReusesBatchBuffer is the W=1 allocation regression: the
 // single-worker copy path must reuse one grow-only batch buffer for the
 // whole run instead of allocating per batch, so allocations stay a small

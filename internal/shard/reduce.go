@@ -4,22 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"hep/internal/graph"
 	"hep/internal/obs"
 )
 
 // This file is the reduction side of the batch engine: per-worker
 // accumulator lanes for commutative folds (the load-delta discipline of
-// ShardedLoads generalized to arbitrary int32/int64 arrays) and the exact
-// degree pre-pass built on top of them. A pre-pass worker adds deltas into
-// its own lane on the hot path — single writer, no synchronization — and
-// folds the lane into the mutex-guarded global array at batch boundaries.
-// Because addition commutes, the folded result is bit-identical to the
-// sequential pass whatever the worker interleaving, which is what lets the
-// degree pass and the CSR build's counting pass fan out without giving up
-// their exact-output contracts.
+// ShardedLoads generalized to arbitrary int32/int64 arrays). A worker adds
+// deltas into its own lane on the hot path — single writer, no
+// synchronization — and folds the lane into the mutex-guarded global array
+// at batch boundaries. Because addition commutes, the folded result does not
+// depend on the worker interleaving.
 
 // ErrOverflow is returned by a lane fold whose global accumulator would wrap
 // (e.g. an int32 degree count exceeding MaxInt32 on a pathological
@@ -120,142 +115,4 @@ func (l *Lanes[T]) Drain() ([]T, error) {
 		}
 	}
 	return l.global, nil
-}
-
-// AbortStream wraps a stream so a concurrent consumer — a pre-pass worker
-// that hit a validation error, the ordered collector on a spill failure —
-// can stop the dispatcher's scan early: once Stop is set, Edges yields no
-// further edges instead of scanning the rest of a possibly multi-gigabyte
-// stream. The engine then drains its in-flight batches normally and the
-// recorded error surfaces, matching the prompt-failure behavior of the
-// sequential passes (whose yield returns false at the first bad edge).
-type AbortStream struct {
-	graph.EdgeStream
-	Stop *atomic.Bool
-}
-
-// Edges implements graph.EdgeStream.
-func (s AbortStream) Edges(yield func(u, v graph.V) bool) error {
-	return s.EdgeStream.Edges(func(u, v graph.V) bool {
-		return !s.Stop.Load() && yield(u, v)
-	})
-}
-
-// Chunks implements graph.ChunkStream by delegation when the wrapped stream
-// lends chunks; the abort flag is checked at slab boundaries (a batch-sized
-// lag at worst, same as the engine's own drain behavior). A slab refused
-// because of the abort is released immediately.
-func (s AbortStream) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
-	cs, ok := graph.AsChunks(s.EdgeStream)
-	if !ok {
-		return errors.New("shard: wrapped stream does not lend chunks")
-	}
-	return cs.Chunks(func(edges []graph.Edge, release func()) bool {
-		if s.Stop.Load() {
-			release()
-			return false
-		}
-		//hep:xfer forwarded to the wrapped consumer, which inherits the release obligation
-		return yield(edges, release)
-	})
-}
-
-// LendsChunks is the graph.AsChunks conditional-lending hook: an AbortStream
-// only lends when the stream it wraps does.
-func (s AbortStream) LendsChunks() bool {
-	_, ok := graph.AsChunks(s.EdgeStream)
-	return ok
-}
-
-// degreeWorker is one lane of the parallel exact-degree pre-pass: every edge
-// of a batch adds 1 to both endpoints in the worker's lane, and the lane
-// folds at the batch boundary. n ≥ 0 fixes the vertex domain (ids beyond it
-// are an error, the graph.Degrees contract); n < 0 discovers the domain on
-// the fly (the ooc.DegreePass contract).
-type degreeWorker struct {
-	id    int
-	lanes *Lanes[int32]
-	n     int
-	stop  *atomic.Bool
-	err   error
-}
-
-// fail records the worker's first error and aborts the dispatcher's scan.
-func (w *degreeWorker) fail(err error) {
-	w.err = err
-	w.stop.Store(true)
-}
-
-// PlaceBatch implements BatchPlacer. The parts buffer is untouched — a
-// pre-pass produces no placements, only folded lane state.
-func (w *degreeWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
-	if w.err != nil {
-		return
-	}
-	for i := range edges {
-		u, v := edges[i].U, edges[i].V
-		if w.n >= 0 && (int(u) >= w.n || int(v) >= w.n) {
-			w.fail(fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrVertexRange, u, v, w.n))
-			return
-		}
-		w.lanes.Add(w.id, int(u), 1)
-		w.lanes.Add(w.id, int(v), 1)
-	}
-	if err := w.lanes.Fold(w.id); err != nil {
-		w.fail(err)
-	}
-}
-
-// Degrees is graph.Degrees through the batch engine: exact total degrees
-// over a fixed vertex domain, computed by opts.Resolve() workers folding
-// per-worker lanes at batch boundaries. The output is bit-identical to the
-// sequential pass (addition commutes); vertex ids at or beyond
-// src.NumVertices() return graph.ErrVertexRange like the sequential pass.
-func Degrees(src graph.EdgeStream, opts Options) ([]int32, int64, error) {
-	return degreePass(src, src.NumVertices(), false, opts)
-}
-
-// DegreesGrow is the discovery form of Degrees: the degree array starts at
-// src.NumVertices() entries and grows to max id + 1 as the stream yields
-// larger ids — the out-of-core degree-pass contract for streams opened
-// without vertex-count discovery.
-func DegreesGrow(src graph.EdgeStream, opts Options) ([]int32, int64, error) {
-	return degreePass(src, src.NumVertices(), true, opts)
-}
-
-func degreePass(src graph.EdgeStream, n int, grow bool, opts Options) ([]int32, int64, error) {
-	workers := opts.Resolve()
-	if workers < 1 {
-		workers = 1
-	}
-	lanes := NewLanes[int32](workers, n)
-	lanes.SetObs(opts.Obs)
-	domain := n
-	if grow {
-		domain = -1
-	}
-	var stop atomic.Bool
-	ws := make([]BatchPlacer, workers)
-	dws := make([]*degreeWorker, workers)
-	for i := range ws {
-		dw := &degreeWorker{id: i, lanes: lanes, n: domain, stop: &stop}
-		ws[i], dws[i] = dw, dw
-	}
-	var m int64
-	err := Run(AbortStream{EdgeStream: src, Stop: &stop}, ws, opts, func(edges []graph.Edge, parts []int32) {
-		m += int64(len(edges))
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, dw := range dws {
-		if dw.err != nil {
-			return nil, 0, dw.err
-		}
-	}
-	deg, err := lanes.Drain()
-	if err != nil {
-		return nil, 0, err
-	}
-	return deg, m, nil
 }

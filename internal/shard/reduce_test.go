@@ -1,9 +1,8 @@
 package shard_test
 
 // Reduction-lane suite: fold correctness under concurrency (CI runs this
-// package with -race -count=2), grow-on-demand domains, the overflow guard,
-// and the parallel degree pre-pass pinned bit-identical to the sequential
-// counting loop at W ∈ {2, 4, 8}.
+// package with -race -count=2), grow-on-demand domains and the overflow
+// guard.
 
 import (
 	"errors"
@@ -11,8 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"hep/internal/gen"
-	"hep/internal/graph"
 	"hep/internal/shard"
 )
 
@@ -88,103 +85,5 @@ func TestLanesFoldDetectsInt32Overflow(t *testing.T) {
 	err := l.Fold(0)
 	if !errors.Is(err, shard.ErrOverflow) {
 		t.Fatalf("overflowing fold returned %v, want ErrOverflow", err)
-	}
-}
-
-func TestParallelDegreesBitIdentical(t *testing.T) {
-	for _, name := range []string{"OK", "TW", "LJ"} {
-		g := gen.MustDataset(name).Build(0.05)
-		want, wm, err := graph.Degrees(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			got, m, err := shard.Degrees(g, shard.Options{Workers: w, BatchEdges: 512})
-			if err != nil {
-				t.Fatalf("%s W=%d: %v", name, w, err)
-			}
-			if m != wm {
-				t.Fatalf("%s W=%d: m=%d, want %d", name, w, m, wm)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s W=%d: len=%d, want %d", name, w, len(got), len(want))
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s W=%d: deg[%d]=%d, want %d", name, w, v, got[v], want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestParallelDegreesRangeError(t *testing.T) {
-	g := graph.NewMemGraph(2, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 9}})
-	if _, _, err := shard.Degrees(g, shard.Options{Workers: 4}); !errors.Is(err, graph.ErrVertexRange) {
-		t.Fatalf("got %v, want ErrVertexRange", err)
-	}
-}
-
-func TestParallelDegreesGrowDiscoversDomain(t *testing.T) {
-	// A stream whose NumVertices underreports: DegreesGrow must extend the
-	// array to max id + 1, exactly like the sequential out-of-core pass.
-	g := &underreportingStream{MemGraph: graph.NewMemGraph(3, []graph.Edge{
-		{U: 0, V: 9}, {U: 9, V: 2}, {U: 5, V: 0},
-	})}
-	for _, w := range []int{2, 4} {
-		deg, m, err := shard.DegreesGrow(g, shard.Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m != 3 || len(deg) != 10 {
-			t.Fatalf("W=%d: m=%d len=%d, want 3/10", w, m, len(deg))
-		}
-		want := []int32{2, 0, 1, 0, 0, 1, 0, 0, 0, 2}
-		for v := range want {
-			if deg[v] != want[v] {
-				t.Fatalf("W=%d: deg[%d]=%d, want %d", w, v, deg[v], want[v])
-			}
-		}
-	}
-}
-
-// underreportingStream declares fewer vertices than its edges reference —
-// the discovery-skipped out-of-core stream shape (NumVertices() == 0 family).
-type underreportingStream struct {
-	*graph.MemGraph
-}
-
-func (s *underreportingStream) NumVertices() int { return 3 }
-
-// countingStream counts how many edges the consumer actually pulled.
-type countingStream struct {
-	graph.EdgeStream
-	yielded int64
-}
-
-func (s *countingStream) Edges(yield func(u, v graph.V) bool) error {
-	return s.EdgeStream.Edges(func(u, v graph.V) bool {
-		s.yielded++
-		return yield(u, v)
-	})
-}
-
-// TestParallelDegreesAbortsScanOnError: a validation error in a worker must
-// stop the dispatcher's scan promptly (AbortStream), not after streaming the
-// whole input — the prompt-failure behavior of the sequential passes.
-func TestParallelDegreesAbortsScanOnError(t *testing.T) {
-	const total = 200_000
-	edges := make([]graph.Edge, total)
-	edges[0] = graph.Edge{U: 0, V: 1 << 30} // out of range immediately
-	for i := 1; i < total; i++ {
-		edges[i] = graph.Edge{U: graph.V(i % 64), V: graph.V((i + 1) % 64)}
-	}
-	src := &countingStream{EdgeStream: graph.NewMemGraph(64, edges)}
-	_, _, err := shard.Degrees(src, shard.Options{Workers: 4, BatchEdges: 1024})
-	if !errors.Is(err, graph.ErrVertexRange) {
-		t.Fatalf("got %v, want ErrVertexRange", err)
-	}
-	if src.yielded > total/2 {
-		t.Fatalf("dispatcher scanned %d of %d edges after the error; abort did not propagate", src.yielded, total)
 	}
 }

@@ -62,11 +62,9 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 
 	if h.Workers > 1 {
 		opts := shard.Options{Workers: h.Workers, BatchEdges: h.BatchEdges, Obs: h.Obs.Counters(), Hub: h.Obs}
-		// The exact-degree pre-pass fans out through the same engine the
-		// placement pass uses; its folded output is bit-identical to
-		// graph.Degrees.
+		// The exact-degree pre-pass is single-goroutine at every Workers.
 		sp := h.Obs.Span("degree-pass")
-		deg, m, err := shard.Degrees(src, opts)
+		deg, m, err := graph.Degrees(src)
 		if err != nil {
 			return nil, err
 		}
