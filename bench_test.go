@@ -337,6 +337,50 @@ func BenchmarkHDRFPlacement(b *testing.B) {
 	}
 }
 
+// BenchmarkInformedH2H times HEP's informed streaming phase alone (§3.3),
+// the layer perfbench reports as stream.score_ns_per_edge. NE++ runs once
+// on the FR stand-in at τ=1, k=128, where about 40% of the edges land in
+// E_h2h. Each iteration replays the NE++ placements into a fresh result
+// (untimed), then streams E_h2h through the HDRF scorer: W=1 is the
+// sequential runner, W=2 the sharded engine. ns/edge is per E_h2h edge.
+func BenchmarkInformedH2H(b *testing.B) {
+	const k = 128
+	g := gen.MustDataset("FR").Build(1)
+	store := &graph.MemH2H{}
+	csr, err := graph.BuildCSR(g, 1, store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nepp := part.NewResult(csr.N(), k)
+	placed := &part.Collect{}
+	nepp.Sink = placed
+	core.NewNEPP(csr, k, nepp, nil).Run()
+	var h2h []graph.Edge
+	store.Edges(func(u, v graph.V) bool {
+		h2h = append(h2h, graph.Edge{U: u, V: v})
+		return true
+	})
+	src := graph.NewMemGraph(csr.N(), h2h)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				res := part.NewResult(csr.N(), k)
+				for _, e := range placed.Edges {
+					res.Assign(e.E.U, e.E.V, e.P)
+				}
+				b.StartTimer()
+				err := stream.RunHDRFParallel(src, res, csr.Degrees(), stream.DefaultLambda, 1, csr.M(),
+					shard.Options{Workers: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(h2h))), "ns/edge")
+		})
+	}
+}
+
 // BenchmarkParallelHDRF measures the parallel sharded streaming engine
 // against sequential RunHDRF on the TW power-law stand-in at k=32: ns/edge
 // and replication factor per worker count. Speedup tracks the cores

@@ -143,7 +143,8 @@ type Config struct {
 	Tau float64
 	// Alpha is the edge balance bound α ≥ 1 where applicable.
 	Alpha float64
-	// Lambda is the HDRF balance weight (default 1.1).
+	// Lambda is the HDRF balance weight λ: finite and ≥ 0, with 0 meaning
+	// the default 1.1. A negative, NaN or infinite λ is rejected.
 	Lambda float64
 	// Seed makes randomized algorithms deterministic. Note that full
 	// run-to-run determinism also requires Workers: 1 for the parallel
@@ -259,6 +260,19 @@ func checkRefine(name string, cfg Config) error {
 		name, RefinableAlgorithms())
 }
 
+// checkKnobs rejects the Config values no algorithm runs with: a negative
+// Workers, and a negative, NaN or infinite Lambda (the HDRF scorer's
+// class-argmin exactness rests on λ ≥ 0).
+func checkKnobs(cfg Config) error {
+	if cfg.Workers < 0 {
+		return fmt.Errorf("hep: Workers must be ≥ 0, got %d", cfg.Workers)
+	}
+	if cfg.Lambda < 0 || math.IsNaN(cfg.Lambda) || math.IsInf(cfg.Lambda, 0) {
+		return fmt.Errorf("hep: Lambda must be finite and ≥ 0 (0 = default %g), got %g", stream.DefaultLambda, cfg.Lambda)
+	}
+	return nil
+}
+
 // shardWorkers resolves Config.Workers for the shard-capable algorithms:
 // 0 means all cores (GOMAXPROCS), anything else is taken literally
 // (1 = the exact sequential path).
@@ -268,8 +282,8 @@ func shardWorkers(cfg Config) int {
 
 // New returns the partitioner selected by cfg.
 func New(cfg Config) (Algorithm, error) {
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("hep: Workers must be ≥ 0, got %d", cfg.Workers)
+	if err := checkKnobs(cfg); err != nil {
+		return nil, err
 	}
 	name := cfg.Algorithm
 	if name == "" {
@@ -450,8 +464,8 @@ var tauCandidates = []float64{100, 50, 20, 10, 5, 2, 1}
 // budget. Any other algorithm is rejected, because a budget would be
 // silently ignored. A zero MemBudget returns cfg unchanged.
 func FitBudget(src EdgeStream, cfg Config) (Config, error) {
-	if cfg.Workers < 0 {
-		return cfg, fmt.Errorf("hep: Workers must be ≥ 0, got %d", cfg.Workers)
+	if err := checkKnobs(cfg); err != nil {
+		return cfg, err
 	}
 	name := cfg.Algorithm
 	if name == "" {

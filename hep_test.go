@@ -74,6 +74,40 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
+// TestLambdaValidation pins the λ contract at every Config entry point: a
+// negative, NaN or infinite Lambda is an error (never a panic), and 0
+// still selects the default.
+func TestLambdaValidation(t *testing.T) {
+	g := Dataset("LJ", 0.03)
+	for _, lambda := range []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, name := range []string{AlgoHEP, AlgoHDRF, AlgoRestream, AlgoBuffered, AlgoADWISE} {
+			cfg := Config{Algorithm: name, K: 4, Tau: 10, Lambda: lambda}
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s: New accepted Lambda=%g", name, lambda)
+			}
+			if _, err := Partition(g, cfg); err == nil {
+				t.Errorf("%s: Partition accepted Lambda=%g", name, lambda)
+			}
+			if _, err := FitBudget(g, cfg); err == nil {
+				t.Errorf("%s: FitBudget accepted Lambda=%g", name, lambda)
+			}
+		}
+		cfg := Config{Algorithm: AlgoHEP, K: 4, Lambda: lambda, MemBudget: 1 << 40}
+		if _, err := PartitionStream(g, cfg); err == nil {
+			t.Errorf("PartitionStream accepted Lambda=%g", lambda)
+		}
+	}
+	for _, lambda := range []float64{0, 1.1, 1e3} {
+		res, err := Partition(g, Config{Algorithm: AlgoHDRF, K: 4, Workers: 1, Lambda: lambda})
+		if err != nil {
+			t.Fatalf("Lambda=%g rejected: %v", lambda, err)
+		}
+		if res.M != g.NumEdges() {
+			t.Fatalf("Lambda=%g: assigned %d of %d edges", lambda, res.M, g.NumEdges())
+		}
+	}
+}
+
 func TestPartitionValidation(t *testing.T) {
 	g := NewGraph(0, []Edge{{U: 0, V: 1}})
 	if _, err := Partition(g, Config{Algorithm: "bogus", K: 2}); err == nil {

@@ -292,6 +292,31 @@ func TestHEPGoldenAssignmentHash(t *testing.T) {
 	}
 }
 
+// TestHEPLowMemGoldenAssignmentHash is TestHEPGoldenAssignmentHash for the
+// memory-constrained setting: HEP τ=1 at k=128 on the FR stand-in, where
+// about 40% of the edges are placed by informed HDRF over E_h2h. The hash
+// was recorded from the full candidate-scan scorer, before class-argmin
+// scoring replaced it.
+func TestHEPLowMemGoldenAssignmentHash(t *testing.T) {
+	const golden uint64 = 0x1b7d35471baa93e6
+	g := gen.MustDataset("FR").Build(0.5)
+	h := &HEP{Tau: 1, Workers: 1}
+	sum := fnv.New64a()
+	var buf [12]byte
+	h.Sink = part.SinkFunc(func(u, v graph.V, p int) {
+		binary.LittleEndian.PutUint32(buf[0:], u)
+		binary.LittleEndian.PutUint32(buf[4:], v)
+		binary.LittleEndian.PutUint32(buf[8:], uint32(p))
+		sum.Write(buf[:])
+	})
+	if _, err := h.Partition(g, 128); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.Sum64(); got != golden {
+		t.Fatalf("assignment hash %#x, want %#x", got, golden)
+	}
+}
+
 // TestHEPEdgesStreamedCountsEachEdgeOnce pins the counter contract:
 // edges_streamed is the number of edges placed, m, at every Workers — the
 // CSR build's passes add nothing, and the E_h2h edges count once whether

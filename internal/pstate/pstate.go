@@ -39,9 +39,9 @@ const pageShift = 12
 // Table is the vertex-major replica table for a graph with n vertices and k
 // partitions. The zero value is unusable; use NewTable.
 //
-// Methods are not safe for concurrent use (Candidates shares one scratch
-// buffer); every partitioner in the repository mutates its Table from a
-// single goroutine.
+// Mutation is single-goroutine, and Candidates shares one scratch buffer.
+// Has and Word only read, so concurrent workers may score against a table
+// nobody mutates (parallel re-streaming over a frozen prior state).
 type Table struct {
 	n, k  int
 	extra int      // overflow words per vertex: ⌈k/64⌉ − 1
@@ -183,11 +183,7 @@ func (t *Table) Word(v graph.V, wi int) uint64 {
 // and returns it. The slice is valid until the next Candidates call and
 // must not be retained.
 func (t *Table) Candidates(u, v graph.V) []uint64 {
-	return t.candidatesInto(t.scratch, u, v)
-}
-
-// candidatesInto fills m (⌈k/64⌉ words) with mask(u) | mask(v).
-func (t *Table) candidatesInto(m []uint64, u, v graph.V) []uint64 {
+	m := t.scratch
 	m[0] = t.dense[u] | t.dense[v]
 	if t.extra > 0 {
 		ou, ov := t.page(u), t.page(v)
@@ -340,29 +336,6 @@ func (t *Table) PagesAllocated() int {
 	}
 	return n
 }
-
-// Reader is an independent read-only view of a Table with its own candidate
-// scratch buffer. The Table's own Candidates shares one scratch, so
-// concurrent readers — parallel re-streaming workers scoring against a
-// frozen prior table — each take a Reader instead. The table must not be
-// mutated while readers are in use.
-type Reader struct {
-	t       *Table
-	scratch []uint64
-}
-
-// Reader returns a new independent read view of t.
-func (t *Table) Reader() *Reader {
-	return &Reader{t: t, scratch: make([]uint64, t.extra+1)}
-}
-
-// Candidates is Table.Candidates into the reader's private scratch.
-func (r *Reader) Candidates(u, v graph.V) []uint64 {
-	return r.t.candidatesInto(r.scratch, u, v)
-}
-
-// Word returns mask word wi of vertex v.
-func (r *Reader) Word(v graph.V, wi int) uint64 { return r.t.Word(v, wi) }
 
 // Release hands over the table's backing arrays — dense words, overflow
 // pages (nil when k ≤ 64), per-partition vertex counts — plus the running

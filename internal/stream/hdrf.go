@@ -104,7 +104,7 @@ func (h *HDRF) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 			deg[u]++
 			deg[v]++
 		}
-		p := bestHDRF(res, u, v, deg[u], deg[v], lambda, capacity)
+		p := bestHDRF(res.Reps, res.Loads, u, v, deg[u], deg[v], lambda, capacity)
 		if p < 0 {
 			p = res.Loads.ArgMin()
 		}

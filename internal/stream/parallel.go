@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the scoring side of the parallel sharded streaming engine
-// (internal/shard): a BatchPlacer that runs the shared candidate-iteration
-// HDRF scorer (bestHDRFView) against the concurrent replica table and a
-// bounded-staleness load snapshot.
+// (internal/shard): a BatchPlacer that runs the one HDRF scorer (bestHDRF)
+// against the concurrent replica table and a bounded-staleness load
+// snapshot.
 //
 // Semantics versus the sequential runners: replica state is shared exactly
 // (every worker sees every Add as soon as the CAS lands), so the dominant
@@ -23,9 +23,9 @@ import (
 // sequential code path. Assignment *delivery* (sink order, res.M) is always
 // in stream order, whatever the interleaving (shard's ordered collector).
 
-// hdrfWorker is one placement worker: reps is where candidate masks come
-// from (the shared atomic table for plain/informed streaming, a frozen prior
-// table's reader for re-streaming), table is where replica bits are written.
+// hdrfWorker is one placement worker: reps is where replica masks are read
+// (the shared atomic table for plain/informed streaming, a frozen prior
+// table for re-streaming), table is where replica bits are written.
 // local is the worker's bounded-staleness load view — a full pstate.Loads
 // tracker reloaded from the folded global counts at each batch boundary and
 // advanced per own assignment within the batch, so the in-batch loop has
@@ -61,17 +61,11 @@ func newHDRFWorker(id int, reps RepView, sh *part.Shared, deg []int32, lambda fl
 func (w *hdrfWorker) PlaceBatch(edges []graph.Edge, parts []int32) {
 	w.loads.Snapshot(w.local.Counts())
 	w.local.Recompute()
-	counts := w.local.Counts()
 	for i := range edges {
 		u, v := edges[i].U, edges[i].V
-		maxLoad, minLoad := w.local.Max(), w.local.Min()
-		am := -1
-		if minLoad < w.capacity {
-			am = w.local.ArgMin()
-		}
-		p := bestHDRFView(w.reps, counts, maxLoad, minLoad, am, u, v, w.deg[u], w.deg[v], w.lambda, w.capacity)
+		p := bestHDRF(w.reps, w.local, u, v, w.deg[u], w.deg[v], w.lambda, w.capacity)
 		if p < 0 {
-			// Every candidate at capacity in the worker's view: least
+			// Every partition at capacity in the worker's view: least
 			// loaded, mirroring the sequential Loads.ArgMin fallback.
 			p = w.local.ArgMin()
 		}
@@ -124,7 +118,7 @@ func RunHDRFParallel(src graph.EdgeStream, res *part.Result, deg []int32, lambda
 	sizeBatches(&opts, sh.Loads, capacity, totalM, workers)
 	ws := make([]shard.BatchPlacer, workers)
 	for i := range ws {
-		ws[i] = newHDRFWorker(i, sh.Table.View(), sh, deg, lambda, capacity)
+		ws[i] = newHDRFWorker(i, sh.Table, sh, deg, lambda, capacity)
 	}
 	return shard.Run(src, ws, opts, func(edges []graph.Edge, parts []int32) {
 		for i := range edges {
@@ -135,8 +129,8 @@ func RunHDRFParallel(src graph.EdgeStream, res *part.Result, deg []int32, lambda
 }
 
 // RunHDRFWithStateParallel is the parallel informed re-streaming pass:
-// replica affinity is scored against a *frozen* prior result (each worker
-// takes its own pstate.Reader over it), loads and the replica table being
+// replica affinity is scored against a *frozen* prior result (its table is
+// only read, so the workers share it), loads and the replica table being
 // built come from res. With one worker it routes to RunHDRFWithState.
 func RunHDRFWithStateParallel(src graph.EdgeStream, res, state *part.Result, deg []int32, lambda, alpha float64, totalM int64, opts shard.Options) error {
 	workers := opts.Resolve()
@@ -151,7 +145,7 @@ func RunHDRFWithStateParallel(src graph.EdgeStream, res, state *part.Result, deg
 	sizeBatches(&opts, sh.Loads, capacity, totalM, workers)
 	ws := make([]shard.BatchPlacer, workers)
 	for i := range ws {
-		ws[i] = newHDRFWorker(i, state.Reps.Reader(), sh, deg, lambda, capacity)
+		ws[i] = newHDRFWorker(i, state.Reps, sh, deg, lambda, capacity)
 	}
 	return shard.Run(src, ws, opts, func(edges []graph.Edge, parts []int32) {
 		for i := range edges {
@@ -181,7 +175,7 @@ func RunHDRFParallelEdges(edges []graph.Edge, res *part.Result, deg []int32, lam
 	defer sh.Finish()
 	ws := make([]shard.BatchPlacer, workers)
 	for i := range ws {
-		ws[i] = newHDRFWorker(i, sh.Table.View(), sh, deg, lambda, capacity)
+		ws[i] = newHDRFWorker(i, sh.Table, sh, deg, lambda, capacity)
 	}
 	shard.RunSlice(edges, ws, opts, func(edges []graph.Edge, parts []int32) {
 		for i := range edges {

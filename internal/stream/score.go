@@ -4,14 +4,20 @@
 //
 // All partitioners here look at one edge (or a small window) at a time and
 // keep only per-partition state: edge counts and the vertex-major replica
-// table. The scoring loops iterate only the *candidate* partitions — those
-// already hosting one of the edge's endpoints, handed over as a k-bit mask
-// by pstate.Table — plus the least-loaded partition as the balance-only
-// fallback. A partition hosting neither endpoint scores rep = 0, and among
-// those the balance term is maximized exactly at the minimum load, so this
-// candidate set provably contains the full-scan argmax (ties included: the
-// fallback anchor is the lowest-index minimum-load partition, which is the
-// one a full ascending scan would keep).
+// table. Greedy and ADWISE iterate the candidate partitions, those already
+// hosting an endpoint, handed over as a k-bit mask by pstate.Table.
+//
+// The HDRF scorer (bestHDRF) does not score every candidate partition.
+// For an edge (u,v) it splits the partitions into four replica
+// classes — hosting both endpoints, u only, v only, neither — and the
+// replica term is constant inside a class. With λ ≥ 0 the balance term can
+// only fall as load rises, so a class's best member is its lowest-index
+// minimum-load admissible partition, found with integer compares over the
+// ⌈k/64⌉ mask words of u and v. For the "neither" class that member is
+// dominated by (or equal to) the least-loaded partition overall, Loads.ArgMin.
+// Scoring those at most four winners with the full scan's exact float
+// expression and ranking them by (score desc, load asc, index asc) returns
+// the full scan's argmax bit for bit, ties included.
 package stream
 
 import (
@@ -50,132 +56,82 @@ func capFor(alpha float64, m int64, k int) int64 {
 	return int64(math.Ceil(alpha * float64(m) / float64(k)))
 }
 
-// bestHDRF returns the admissible partition with the highest HDRF score for
-// (u,v), or -1 when every partition is at capacity:
+// RepView is the read surface of a replica table the HDRF scorer needs: mask
+// word wi (partitions 64·wi .. 64·wi+63) of a vertex. *pstate.Table serves
+// the sequential runners and, frozen, concurrent re-streaming workers;
+// *shard.AtomicTable serves the parallel workers with atomic loads.
+type RepView interface {
+	Word(v graph.V, wi int) uint64
+}
+
+// bestHDRF returns the admissible partition (load below capacity) with the
+// highest HDRF score for (u,v), or -1 when every partition is at capacity:
 //
 //	θ(u) = d(u)/(d(u)+d(v))
 //	g(v,p) = 1 + (1 − θ(v))   if v is replicated on p, else 0
 //	C_REP  = g(u,p) + g(v,p)
 //	C_BAL  = λ · (maxLoad − load_p) / (ε + maxLoad − minLoad)
 //
-// Only candidate partitions are scored (see the package comment). Ties
-// break toward the lower load, then the lower index, matching a full
-// ascending scan and keeping runs deterministic.
+// Replica affinity comes from reps, which may be a frozen prior state
+// (re-streaming); loads and capacity come from the result being built (for
+// a parallel worker, its bounded-staleness view). Only the class winners
+// are scored (see the package comment). The result is exactly that of a
+// full ascending scan keeping the first strictly better score, or an equal
+// score at a strictly lower load — provided λ ≥ 0, which hep.New enforces.
 //
 //hep:noalloc
-func bestHDRF(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	return bestHDRFSplit(res.Reps, res, u, v, du, dv, lambda, capacity)
-}
-
-// RepView is the read surface of a replica table the scoring loops need:
-// the candidate mask of an edge (partitions hosting either endpoint) and
-// per-vertex mask words. pstate.Reader (a frozen prior state read by
-// concurrent re-streaming workers) and shard.View (one worker's handle on
-// the concurrent AtomicTable) implement it for the parallel scorer
-// (bestHDRFView); the sequential path keeps a monomorphized copy of the
-// same loop over the concrete *pstate.Table (bestHDRFSplit), which also
-// satisfies this interface.
-type RepView interface {
-	Candidates(u, v graph.V) []uint64
-	Word(v graph.V, wi int) uint64
-}
-
-// bestHDRFSplit scores replica affinity against reps (which may be a frozen
-// prior state) and loads/capacity against the result being built. The body
-// is bestHDRFView monomorphized to the concrete *pstate.Table: the
-// sequential hot loop calls Candidates/Word millions of times per second
-// and interface dispatch costs ~10% at k=256, so the two copies are kept
-// in lockstep — internal/parttest/equiv_test.go pins both (sequential
-// directly, parallel through the quality/conformance suites) to the same
-// partition-major reference.
-//
-//hep:noalloc
-func bestHDRFSplit(reps *pstate.Table, res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	maxLoad, minLoad := res.Loads.Max(), res.Loads.Min()
-	counts := res.Counts
-	cand := reps.Candidates(u, v)
+func bestHDRF(reps RepView, loads *pstate.Loads, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
+	counts := loads.Counts()
+	// Class winners and their loads: both endpoints (pb, lb), u only
+	// (pu, lu), v only (pv, lv). A winner's load starts at capacity, so
+	// only partitions below it are admitted.
+	pb, pu, pv := -1, -1, -1
+	lb, lu, lv := capacity, capacity, capacity
+	for wi := 0; wi<<6 < len(counts); wi++ {
+		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
+		base := wi << 6
+		pb, lb = classMin(wu&wv, base, counts, pb, lb)
+		pu, lu = classMin(wu&^wv, base, counts, pu, lu)
+		pv, lv = classMin(wv&^wu, base, counts, pv, lv)
+	}
+	maxLoad, minLoad := loads.Max(), loads.Min()
+	win := [4]int{pb, pu, pv, -1} // in rep order; the last is the balance anchor
 	if minLoad < capacity {
-		pstate.SetBit(cand, res.Loads.ArgMin())
+		win[3] = loads.ArgMin()
 	}
 	sum := float64(du) + float64(dv)
 	gu := 1 + (1 - float64(du)/sum)
 	gv := 1 + (1 - float64(dv)/sum)
+	rep := [4]float64{gu + gv, gu, gv, 0}
 	denom := hdrfEpsilon + float64(maxLoad-minLoad)
-	best, bestScore := -1, math.Inf(-1)
-	for wi, w := range cand {
-		if w == 0 {
+	best, bestScore, bestLoad := -1, math.Inf(-1), int64(0)
+	for c, p := range win {
+		if p < 0 {
 			continue
 		}
-		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			p := base + b
-			if counts[p] >= capacity {
-				continue
-			}
-			var rep float64
-			if wu>>b&1 != 0 {
-				rep += gu
-			}
-			if wv>>b&1 != 0 {
-				rep += gv
-			}
-			s := rep + lambda*float64(maxLoad-counts[p])/denom
-			if s > bestScore || (s == bestScore && best >= 0 && counts[p] < counts[best]) {
-				best, bestScore = p, s
-			}
+		l := counts[p]
+		s := rep[c] + lambda*float64(maxLoad-l)/denom
+		if s > bestScore || s == bestScore && (l < bestLoad || l == bestLoad && p < best) {
+			best, bestScore, bestLoad = p, s, l
 		}
 	}
 	return best
 }
 
-// bestHDRFView is the RepView form of the scorer the parallel workers use:
-// candidate iteration over any replica view (shard.View over the concurrent
-// table, pstate.Reader over a frozen prior state) against an explicit load
-// view — the worker's bounded-staleness snapshot plus its own in-batch
-// increments, with argmin < 0 when no admissible fallback partition exists.
-// Keep the loop identical to bestHDRFSplit above.
+// classMin folds mask word w (partitions base..base+63) into a class
+// winner p with load low: a partition replaces it only at a strictly lower
+// load, so among equal loads the lowest index stays.
 //
 //hep:noalloc
-func bestHDRFView(reps RepView, counts []int64, maxLoad, minLoad int64, argmin int, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	cand := reps.Candidates(u, v)
-	if argmin >= 0 {
-		pstate.SetBit(cand, argmin)
-	}
-	sum := float64(du) + float64(dv)
-	gu := 1 + (1 - float64(du)/sum)
-	gv := 1 + (1 - float64(dv)/sum)
-	denom := hdrfEpsilon + float64(maxLoad-minLoad)
-	best, bestScore := -1, math.Inf(-1)
-	for wi, w := range cand {
-		if w == 0 {
-			continue
-		}
-		wu, wv := reps.Word(u, wi), reps.Word(v, wi)
-		base := wi << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			p := base + b
-			if counts[p] >= capacity {
-				continue
-			}
-			var rep float64
-			if wu>>b&1 != 0 {
-				rep += gu
-			}
-			if wv>>b&1 != 0 {
-				rep += gv
-			}
-			s := rep + lambda*float64(maxLoad-counts[p])/denom
-			if s > bestScore || (s == bestScore && best >= 0 && counts[p] < counts[best]) {
-				best, bestScore = p, s
-			}
+func classMin(w uint64, base int, counts []int64, p int, low int64) (int, int64) {
+	for w != 0 {
+		q := base + bits.TrailingZeros64(w)
+		w &= w - 1
+		if c := counts[q]; c < low {
+			p, low = q, c
 		}
 	}
-	return best
+	return p, low
 }
 
 // BestHDRF exposes the HDRF placement rule to other informed-streaming
@@ -183,7 +139,7 @@ func bestHDRFView(reps RepView, counts []int64, maxLoad, minLoad int64, argmin i
 // partition with the highest score for (u,v) given exact degrees, or -1 when
 // every partition is at capacity.
 func BestHDRF(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capacity int64) int {
-	return bestHDRF(res, u, v, du, dv, lambda, capacity)
+	return bestHDRF(res.Reps, res.Loads, u, v, du, dv, lambda, capacity)
 }
 
 // RunHDRF streams the edges of src into res using HDRF scoring with the
@@ -195,7 +151,7 @@ func BestHDRF(res *part.Result, u, v graph.V, du, dv int32, lambda float64, capa
 func RunHDRF(src graph.EdgeStream, res *part.Result, deg []int32, lambda, alpha float64, totalM int64) error {
 	capacity := capFor(alpha, totalM, res.K)
 	return src.Edges(func(u, v graph.V) bool {
-		p := bestHDRF(res, u, v, deg[u], deg[v], lambda, capacity)
+		p := bestHDRF(res.Reps, res.Loads, u, v, deg[u], deg[v], lambda, capacity)
 		if p < 0 {
 			// All partitions at capacity: place on the least loaded to
 			// preserve the exactly-once guarantee (only reachable when
@@ -214,7 +170,7 @@ func RunHDRF(src graph.EdgeStream, res *part.Result, deg []int32, lambda, alpha 
 func RunHDRFWithState(src graph.EdgeStream, res, state *part.Result, deg []int32, lambda, alpha float64, totalM int64) error {
 	capacity := capFor(alpha, totalM, res.K)
 	return src.Edges(func(u, v graph.V) bool {
-		best := bestHDRFSplit(state.Reps, res, u, v, deg[u], deg[v], lambda, capacity)
+		best := bestHDRF(state.Reps, res.Loads, u, v, deg[u], deg[v], lambda, capacity)
 		if best < 0 {
 			best = res.Loads.ArgMin()
 		}

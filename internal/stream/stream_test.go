@@ -20,7 +20,7 @@ func TestHDRFPrefersReplicaOverlap(t *testing.T) {
 	res.Assign(0, 1, 1)
 	res.Assign(2, 3, 0) // equalize loads
 	deg := []int32{5, 1, 1, 1, 0, 0, 0, 0, 0, 5}
-	p := bestHDRF(res, 0, 9, deg[0], deg[9], DefaultLambda, 1<<30)
+	p := BestHDRF(res, 0, 9, deg[0], deg[9], DefaultLambda, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF chose %d, want 1", p)
 	}
@@ -31,7 +31,7 @@ func TestHDRFBalanceTermBreaksTies(t *testing.T) {
 	res := part.NewResult(4, 2)
 	res.AddLoad(0, 100)
 	res.M = 100
-	p := bestHDRF(res, 0, 1, 1, 1, DefaultLambda, 1<<30)
+	p := BestHDRF(res, 0, 1, 1, 1, DefaultLambda, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF chose loaded partition %d", p)
 	}
@@ -41,7 +41,7 @@ func TestHDRFRespectsCapacity(t *testing.T) {
 	res := part.NewResult(4, 2)
 	// p0 full at capacity 1; overlap pulls toward p0 but capacity forbids.
 	res.Assign(0, 1, 0)
-	p := bestHDRF(res, 0, 2, 3, 1, DefaultLambda, 1)
+	p := BestHDRF(res, 0, 2, 3, 1, DefaultLambda, 1)
 	if p != 1 {
 		t.Fatalf("capacity violated: chose %d", p)
 	}
@@ -57,7 +57,7 @@ func TestHDRFHighDegreeReplicatedFirst(t *testing.T) {
 	deg := []int32{100, 1, 2, 1}
 	// Edge (0,2): g(0,p0) = 1+(1-θ0) with θ0=100/102 ≈ small reward;
 	// g(2,p1) = 1+(1-θ2) with θ2=2/102 ≈ big reward → p1 wins.
-	p := bestHDRF(res, 0, 2, deg[0], deg[2], 0 /* no balance term */, 1<<30)
+	p := BestHDRF(res, 0, 2, deg[0], deg[2], 0 /* no balance term */, 1<<30)
 	if p != 1 {
 		t.Fatalf("HDRF did not keep the low-degree vertex local: chose %d", p)
 	}
