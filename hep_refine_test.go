@@ -1,7 +1,14 @@
 package hep
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
 	"testing"
+
+	"hep/internal/graph"
+	"hep/internal/part"
+	"hep/internal/refine"
 )
 
 // TestRefineEveryAlgorithm drives Config.Refine across the whole algorithm
@@ -102,5 +109,51 @@ func TestRefineImprovesThroughFacade(t *testing.T) {
 	}
 	if r1 > base.ReplicationFactor() {
 		t.Errorf("refined RF %.4f worse than bare RF %.4f", r1, base.ReplicationFactor())
+	}
+}
+
+// TestRefineGoldenAssignmentHash pins the sequential refinement pass to a
+// hash recorded once: HEP-10 on the LJ stand-in at k=32 with boundary-move
+// refinement, Workers: 1 and RefineWorkers: 1, hashed with FNV-64a over
+// (u, v, partition) of every sink delivery in order. The run must apply
+// moves in at least two rounds, so rounds after the first (which rescan
+// only the vertices a kept round touched) are covered. Run it under
+// go test -cpu 1,2,4: the sequential pass must not depend on GOMAXPROCS.
+func TestRefineGoldenAssignmentHash(t *testing.T) {
+	const golden uint64 = 0xb5c6de95806844cc
+	g := Dataset("LJ", 0.25)
+	sum := fnv.New64a()
+	var buf [12]byte
+	a, err := New(Config{Algorithm: AlgoHEP, K: 32, Tau: 10, Workers: 1,
+		Refine: RefineMoves, RefineWorkers: 1,
+		Sink: sinkFunc(func(u, v uint32, p int) {
+			binary.LittleEndian.PutUint32(buf[0:], u)
+			binary.LittleEndian.PutUint32(buf[4:], v)
+			binary.LittleEndian.PutUint32(buf[8:], uint32(p))
+			sum.Write(buf[:])
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count the rounds whose hook sees a changed assignment: a reverted
+	// round restores the array before the hook runs, so only kept rounds
+	// that moved edges count.
+	var prev []int32
+	movingRounds := 0
+	a.(*refine.Refined).Opts.RoundHook = func(round int, _ *part.Result, _ []graph.Edge, parts []int32) error {
+		if round > 0 && !slices.Equal(prev, parts) {
+			movingRounds++
+		}
+		prev = append(prev[:0], parts...)
+		return nil
+	}
+	if _, err := a.Partition(g, 32); err != nil {
+		t.Fatal(err)
+	}
+	if movingRounds < 2 {
+		t.Fatalf("%d rounds applied moves, want at least 2", movingRounds)
+	}
+	if got := sum.Sum64(); got != golden {
+		t.Fatalf("assignment hash %#x, want %#x", got, golden)
 	}
 }

@@ -25,8 +25,8 @@ const (
 	// out of sequence and had to wait in the reorder buffer — worker skew
 	// made visible.
 	CtrReorderStalls
-	// CtrFolds counts lane-fold windows (reduction lanes and load-delta lanes
-	// merged into global state at batch/region boundaries).
+	// CtrFolds counts lane-fold windows (load-delta lanes merged into global
+	// state at batch/region boundaries).
 	CtrFolds
 	// CtrWarmSpills counts batch vertices that overflowed the warm-start
 	// bucket pool and fell back to per-region probing.
@@ -77,7 +77,8 @@ const (
 	// target partition had no headroom under the (1+ε)·m/k balance guard.
 	CtrMovesRejectedBalance
 	// CtrGainRecomputes counts candidate-gain evaluations in the refinement
-	// scan phase (one per boundary vertex × hosting partition × target).
+	// scan phase (one per scanned vertex × hosting partition × target; after
+	// the first round only dirty vertices are scanned).
 	CtrGainRecomputes
 
 	// NumCounters is the number of counter slots.
@@ -149,7 +150,7 @@ func (g GaugeID) String() string {
 }
 
 // cacheLine is the assumed coherence granule; lanes are padded to it so two
-// workers' counters never share a line (the shard.Lanes discipline).
+// workers' counters never share a line (the shard.ShardedLoads discipline).
 const cacheLine = 64
 
 // lane is one worker's padded counter block. Within a lane the slots share

@@ -86,7 +86,8 @@ func RefineInvariants(algo part.Algorithm, src graph.EdgeStream, k int, o refine
 // checkRoundState verifies the mid-pass consistency triangle between the
 // result, the edge list and the live assignment array: counts match the
 // assignment tally and the replica table is exactly the table the assignment
-// induces.
+// induces, down to its running per-partition vertex counts and covered
+// count.
 func checkRoundState(res *part.Result, edges []graph.Edge, parts []int32) error {
 	if len(edges) != len(parts) {
 		return fmt.Errorf("%d edges with %d assignments", len(edges), len(parts))
@@ -112,6 +113,14 @@ func checkRoundState(res *part.Result, edges []graph.Edge, parts []int32) error 
 	}
 	if got, want := res.Reps.TotalReplicas(), rebuilt.TotalReplicas(); got != want {
 		return fmt.Errorf("replica table holds %d replicas, assignment induces %d", got, want)
+	}
+	for p := 0; p < res.K; p++ {
+		if got, want := res.Reps.VertexCount(p), rebuilt.VertexCount(p); got != want {
+			return fmt.Errorf("partition %d: replica table counts %d vertices, assignment induces %d", p, got, want)
+		}
+	}
+	if got, want := res.Reps.Covered(), rebuilt.Covered(); got != want {
+		return fmt.Errorf("replica table covers %d vertices, assignment induces %d", got, want)
 	}
 	for v := 0; v < res.N; v++ {
 		var bad error

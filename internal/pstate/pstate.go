@@ -151,6 +151,33 @@ func (t *Table) Add(v graph.V, p int) bool {
 	return true
 }
 
+// Remove clears vertex v's replica bit for partition p, reporting whether
+// the bit was set. Per-partition vertex counts and the covered count are
+// maintained as in Add; an emptied overflow page stays allocated.
+func (t *Table) Remove(v graph.V, p int) bool {
+	var w *uint64
+	var b uint64
+	if p < 64 {
+		w, b = &t.dense[v], 1<<(uint(p)&63)
+	} else {
+		ov := t.page(v)
+		if ov == nil {
+			return false
+		}
+		q := p - 64
+		w, b = &ov[q>>6], 1<<(uint(q)&63)
+	}
+	if *w&b == 0 {
+		return false
+	}
+	*w &^= b
+	t.vcount[p]--
+	if t.empty(v) {
+		t.covered--
+	}
+	return true
+}
+
 // empty reports whether vertex v has no replica bit in any mask word.
 func (t *Table) empty(v graph.V) bool {
 	if t.dense[v] != 0 {

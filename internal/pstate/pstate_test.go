@@ -125,14 +125,48 @@ func TestTableCandidates(t *testing.T) {
 	}
 }
 
-// TestTableMatchesReference drives random Add/Has against a map reference
-// across the dense and paged regimes.
+// TestTableMatchesReference drives random Add/Has, then interleaved
+// Add/Remove, against a map reference across the dense and paged regimes,
+// checking the running per-partition, total and covered counts after each
+// phase.
 func TestTableMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 17, 64, 65, 256} {
 		rng := rand.New(rand.NewSource(int64(k)))
 		n := PageVertices + 100
 		tab := NewTable(n, k)
 		ref := map[[2]int]bool{}
+		check := func(phase string) {
+			t.Helper()
+			for i := 0; i < 5000; i++ {
+				v, p := rng.Intn(n), rng.Intn(k)
+				if tab.Has(graph.V(v), p) != ref[[2]int{v, p}] {
+					t.Fatalf("k=%d %s: Has(%d,%d) mismatch", k, phase, v, p)
+				}
+				if bit := tab.Word(graph.V(v), p>>6)>>(p&63)&1 != 0; bit != ref[[2]int{v, p}] {
+					t.Fatalf("k=%d %s: Word(%d,%d) bit %d mismatch", k, phase, v, p>>6, p&63)
+				}
+			}
+			var total int64
+			covered := map[int]bool{}
+			vcount := make([]int64, k)
+			for vp := range ref {
+				total++
+				covered[vp[0]] = true
+				vcount[vp[1]]++
+			}
+			gotTotal, gotCovered := tab.TotalAndCovered()
+			if gotTotal != total || gotCovered != len(covered) {
+				t.Fatalf("k=%d %s: total/covered = %d/%d, want %d/%d", k, phase, gotTotal, gotCovered, total, len(covered))
+			}
+			if tab.TotalReplicas() != total || tab.Covered() != int64(len(covered)) {
+				t.Fatalf("k=%d %s: running total/covered = %d/%d, want %d/%d", k, phase, tab.TotalReplicas(), tab.Covered(), total, len(covered))
+			}
+			for p := 0; p < k; p++ {
+				if tab.VertexCount(p) != vcount[p] {
+					t.Fatalf("k=%d %s: vcount[%d] = %d, want %d", k, phase, p, tab.VertexCount(p), vcount[p])
+				}
+			}
+		}
 		for i := 0; i < 5000; i++ {
 			v, p := rng.Intn(n), rng.Intn(k)
 			if tab.Add(graph.V(v), p) == ref[[2]int{v, p}] {
@@ -140,31 +174,34 @@ func TestTableMatchesReference(t *testing.T) {
 			}
 			ref[[2]int{v, p}] = true
 		}
-		for i := 0; i < 5000; i++ {
-			v, p := rng.Intn(n), rng.Intn(k)
-			if tab.Has(graph.V(v), p) != ref[[2]int{v, p}] {
-				t.Fatalf("k=%d: Has(%d,%d) mismatch", k, v, p)
-			}
-			if bit := tab.Word(graph.V(v), p>>6)>>(p&63)&1 != 0; bit != ref[[2]int{v, p}] {
-				t.Fatalf("k=%d: Word(%d,%d) bit %d mismatch", k, v, p>>6, p&63)
+		check("add")
+		// Interleaved Add/Remove over a narrow window of vertices and four
+		// partitions (dense and, for k > 64, paged words), the window
+		// straddling the first overflow page boundary, so vertices
+		// repeatedly empty out and refill.
+		hot := []int{0, k / 3, k / 2, k - 1}
+		for i := 0; i < 20000; i++ {
+			v := PageVertices - 50 + rng.Intn(100)
+			p := hot[rng.Intn(len(hot))]
+			key := [2]int{v, p}
+			if rng.Intn(2) == 0 {
+				if tab.Remove(graph.V(v), p) != ref[key] {
+					t.Fatalf("k=%d: Remove(%d,%d) presence mismatch", k, v, p)
+				}
+				delete(ref, key)
+			} else {
+				if tab.Add(graph.V(v), p) == ref[key] {
+					t.Fatalf("k=%d: Add(%d,%d) newness mismatch", k, v, p)
+				}
+				ref[key] = true
 			}
 		}
-		var total int64
-		covered := map[int]bool{}
-		vcount := make([]int64, k)
-		for vp := range ref {
-			total++
-			covered[vp[0]] = true
-			vcount[vp[1]]++
-		}
-		gotTotal, gotCovered := tab.TotalAndCovered()
-		if gotTotal != total || gotCovered != len(covered) {
-			t.Fatalf("k=%d: total/covered = %d/%d, want %d/%d", k, gotTotal, gotCovered, total, len(covered))
-		}
-		for p := 0; p < k; p++ {
-			if tab.VertexCount(p) != vcount[p] {
-				t.Fatalf("k=%d: vcount[%d] = %d, want %d", k, p, tab.VertexCount(p), vcount[p])
-			}
+		check("add/remove")
+		// Removing from a vertex whose overflow page was never allocated
+		// changes nothing.
+		fresh := NewTable(n, k)
+		if fresh.Remove(0, k-1) || fresh.TotalReplicas() != 0 || fresh.Covered() != 0 {
+			t.Fatalf("k=%d: Remove on an empty table reported a change", k)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"hep/internal/graph"
 	"hep/internal/part"
+	"hep/internal/pstate"
 )
 
 // SplitMerge folds an over-partitioned result (res.K = x·kTarget buckets,
@@ -168,4 +169,15 @@ func popcountAnd(a, b []uint64) int64 {
 		c += int64(bits.OnesCount64(a[i] & b[i]))
 	}
 	return c
+}
+
+// rebuildTable derives the replica table from the assignment array.
+func rebuildTable(n, k int, edges []graph.Edge, parts []int32) *pstate.Table {
+	t := pstate.NewTable(n, k)
+	for i, e := range edges {
+		p := int(parts[i])
+		t.Add(e.U, p)
+		t.Add(e.V, p)
+	}
+	return t
 }

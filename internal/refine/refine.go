@@ -16,14 +16,26 @@
 //
 // is evaluated per candidate q and only strictly positive moves are kept.
 //
-// Rounds are the safety boundary: workers sweep the boundary via
-// pstate.Buckets, accumulate per-target gains in shard.Lanes, apply the
-// selected moves with CAS claims on the assignment array, and then the
-// replica table is rebuilt from the assignment and compared against the
-// round-start total. Moves never change which vertices are covered, so the
-// total-replica ordering is exactly the RF ordering — a round that would
-// worsen it is reverted wholesale, which turns the per-move estimate into a
-// hard RF-never-worse guarantee at round granularity.
+// Rounds are the safety boundary. Workers stride the vertices to scan; each
+// groups its vertex's incidence by partition with one stable counting sort
+// and scores every p→q evacuation from its group. The selected moves are
+// applied with CAS claims on the assignment array. The masks of the
+// endpoints of the migrated edges are then recomputed from the assignment,
+// and the new replica total is compared against the round-start total.
+// Moves never change which vertices are covered, so the total-replica
+// ordering is exactly the RF ordering — a round that would worsen it is
+// reverted wholesale before the table is touched, which turns the per-move
+// estimate into a hard RF-never-worse guarantee at round granularity. A kept
+// round writes the recomputed masks into the table in place.
+//
+// The first round scans the whole boundary. A vertex's gains depend only on
+// the partitions of its own edges and the masks of its neighbours, and the
+// loads only break ties among positive gains, which every such vertex turned
+// into a selected move. So after a kept round only the dirty vertices can
+// score differently: the endpoints of migrated edges, the neighbours of
+// every vertex whose mask changed, and every vertex that had a selected
+// move. Later rounds rescan just those, and find exactly the moves a full
+// rescan would.
 //
 // The optional split–merge mode (merge.go, after the Split_Merge_Partitioner
 // scheme) partitions into x·k buckets first and greedily merges back to k by
@@ -34,10 +46,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"hep/internal/bitset"
 	"hep/internal/graph"
 	"hep/internal/obs"
 	"hep/internal/part"
@@ -163,15 +178,16 @@ type Stats struct {
 	// mean every round was an order-independent remap (the property the
 	// fuzz harness keys on).
 	Interactions int64
-	// GainRecomputes counts candidate-gain evaluations in the scan phase.
+	// GainRecomputes counts candidate-gain evaluations in the scan phase:
+	// the whole boundary in the first round, the dirty vertices after.
 	GainRecomputes int64
 	// MovedEdges counts edge migrations across all applied moves.
 	MovedEdges int64
-	// EstimatedGain sums the estimated replica gain of the selected moves
-	// (shard.Lanes drain of the scan phases).
+	// EstimatedGain sums the estimated replica gain of the selected moves.
 	EstimatedGain int64
-	// RevertedRounds counts rounds rolled back because the rebuilt replica
-	// table showed a net RF regression (at most 1: a revert stops the pass).
+	// RevertedRounds counts rounds rolled back because the recomputed
+	// replica masks showed a net RF regression (at most 1: a revert stops
+	// the pass).
 	RevertedRounds int
 	// Merges and ForcedMerges are ModeSplitMerge's pairing counts; a forced
 	// merge had no partner under the balance bound and took the min-load
@@ -203,6 +219,16 @@ func BalanceBound(m int64, k int, eps float64, inputMax int64) int64 {
 type Capture struct {
 	Edges []graph.Edge
 	Parts []int32
+}
+
+// newCapture returns a Capture sized for m edges, so recording never copies
+// the arrays to grow them; m ≤ 0 (an unknown count) falls back to append
+// growth.
+func newCapture(m int64) *Capture {
+	if m <= 0 {
+		return &Capture{}
+	}
+	return &Capture{Edges: make([]graph.Edge, 0, m), Parts: make([]int32, 0, m)}
 }
 
 // Assign implements part.Sink.
@@ -318,23 +344,23 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	sp := o.Obs.Span("refine-moves")
 	defer sp.End()
 
-	prevTotal := res.Reps.TotalReplicas()
 	snapshot := make([]int32, len(parts))
 	loadSnap := make([]int64, k)
+	mark := bitset.New(n)
+	var delta replicaDelta
 
+	verts := collectBoundary(res.Reps, n)
 	for round := 1; round <= o.rounds(); round++ {
-		boundary, poolCap := collectBoundary(res.Reps, n)
-		if len(boundary) == 0 {
+		// An empty rescan set still makes the terminating empty sweep,
+		// unless no boundary vertex is left at all.
+		if len(verts) == 0 && len(collectBoundary(res.Reps, n)) == 0 {
 			break
 		}
-		buckets := pstate.NewBuckets(k, poolCap, len(boundary))
-		buckets.Build(res.Reps, boundary)
-
 		rsp := o.Obs.Span("refine-round")
-		moves, est, err := scanMoves(res.Reps, inc, edges, parts, boundary, buckets, loads, st.Bound, workers, c, &st)
-		if err != nil {
-			rsp.End()
-			return st, err
+		moves, evals := scanMoves(res.Reps, inc, edges, parts, verts, loads, st.Bound, workers)
+		for w, e := range evals {
+			c.Add(w, obs.CtrGainRecomputes, e)
+			st.GainRecomputes += e
 		}
 		c.Add(0, obs.CtrRefineRounds, 1)
 		st.Rounds++
@@ -347,7 +373,9 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			}
 			break
 		}
-		st.EstimatedGain += est
+		for _, mv := range moves {
+			st.EstimatedGain += int64(mv.gain)
+		}
 		st.Interactions += countInteractions(moves, inc, edges, parts)
 
 		copy(snapshot, parts)
@@ -356,13 +384,12 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 		}
 		moved := applyMoves(moves, inc, parts, loads, st.Bound, workers, c, &st)
 
-		// Rebuild the replica table from the assignment — the one source of
-		// truth after concurrent claims — and enforce RF-never-worse at
-		// round granularity: moves do not change vertex coverage, so the
-		// total-replica comparison is the RF comparison.
-		nt := rebuildTable(n, k, edges, parts)
-		newTotal := nt.TotalReplicas()
-		reverted := newTotal > prevTotal
+		// The assignment is the one source of truth after concurrent claims:
+		// recompute the masks of the vertices it changed and enforce
+		// RF-never-worse at round granularity. Moves do not change vertex
+		// coverage, so a positive total-replica change is an RF regression.
+		delta.diff(res.Reps, inc, edges, parts, snapshot, moves, mark)
+		reverted := delta.total > 0
 		if reverted {
 			copy(parts, snapshot)
 			for p := 0; p < k; p++ {
@@ -370,13 +397,13 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 			}
 			st.RevertedRounds++
 		} else {
-			prevTotal = newTotal
-			res.Reps = nt
+			changed := delta.apply(res.Reps)
 			for p := 0; p < k; p++ {
 				if d := loads[p].Load() - res.Counts[p]; d != 0 {
 					res.Loads.Bulk(p, d)
 				}
 			}
+			verts = rescanSet(res.Reps, inc, edges, delta.verts, changed, moves, mark)
 		}
 		rsp.Edges(moved).End()
 		if o.RoundHook != nil {
@@ -391,125 +418,110 @@ func Run(res *part.Result, edges []graph.Edge, parts []int32, o Options) (Stats,
 	return st, nil
 }
 
-// collectBoundary returns the vertices replicated on ≥ 2 partitions plus the
-// total replica count over them (the exact Buckets pool size).
-func collectBoundary(t *pstate.Table, n int) ([]graph.V, int) {
+// collectBoundary returns the vertices replicated on ≥ 2 partitions, in
+// ascending order.
+func collectBoundary(t *pstate.Table, n int) []graph.V {
 	var verts []graph.V
-	pool := 0
 	for v := 0; v < n; v++ {
-		if c := t.Count(graph.V(v)); c >= 2 {
+		if t.Count(graph.V(v)) >= 2 {
 			verts = append(verts, graph.V(v))
-			pool += c
 		}
 	}
-	return verts, pool
+	return verts
 }
 
-// scanMoves is the parallel gain sweep: workers stride the partition
-// buckets, evaluate every (boundary vertex, hosting partition) evacuation
-// against the vertex's other hosting partitions, and keep the best strictly
-// positive candidate per pair. Selected gains accumulate per target
-// partition in shard.Lanes; the merged move list is sorted deterministically
-// so the sequential path (workers=1) is reproducible.
+// scanMoves is the parallel gain sweep over verts (boundary vertices).
+// Workers stride the vertices. Each groups its vertex's incidence by
+// partition with one stable counting sort, then evaluates every (hosting
+// partition p, other hosting partition q) evacuation from p's group and
+// keeps the best strictly positive candidate per p. The merged move list is
+// sorted by (gain desc, v asc, from asc), a total order, so it does not
+// depend on the worker count. The second result holds each worker's
+// candidate-gain evaluations. The apply phase is barrier-separated from the
+// scan, so plain reads of parts are safe.
 func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32,
-	boundary []graph.V, buckets *pstate.Buckets, loads []atomic.Int64,
-	bound int64, workers int, c *obs.Counters, st *Stats) ([]move, int64, error) {
+	verts []graph.V, loads []atomic.Int64, bound int64, workers int) ([]move, []int64) {
 
-	k := t.K()
-	gains := shard.NewLanes[int64](workers, k)
-	gains.SetObs(c)
+	k, words := t.K(), t.Words()
 	perWorker := make([][]move, workers)
-	recomputes := make([]int64, workers)
+	evals := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var local []move
-			var scratch []int32
-			var evals int64
-			eval := func(tag int32, p int) {
-				v := boundary[tag]
-				// Gather v's edges currently in p. The scan has no
-				// concurrent writer (the apply phase is barrier-separated),
-				// so plain reads of parts are safe.
-				scratch = scratch[:0]
-				for _, eid := range inc.edgesOf(v) {
-					if parts[eid] == int32(p) {
-						scratch = append(scratch, eid)
+			var nevals int64
+			var nbrs []graph.V // v's neighbours grouped by edge partition
+			var hosts []int32  // v's edge partitions, first-seen order
+			cnt := make([]int32, k)
+			end := make([]int32, k)
+			for i := w; i < len(verts); i += workers {
+				v := verts[i]
+				ids := inc.edgesOf(v)
+				hosts = hosts[:0]
+				for _, eid := range ids {
+					p := parts[eid]
+					if cnt[p] == 0 {
+						hosts = append(hosts, p)
 					}
+					cnt[p]++
 				}
-				cnt := len(scratch)
-				if cnt == 0 || cnt > maxEvacuate || int64(cnt) > bound {
-					return
+				off := int32(0)
+				for _, p := range hosts {
+					end[p] = off
+					off += cnt[p]
 				}
-				bestGain, bestTo, bestLoad := int32(0), int32(-1), int64(0)
-				t.RangeVertex(v, func(q int) bool {
-					if q == p {
-						return true
+				nbrs = slices.Grow(nbrs[:0], len(ids))[:len(ids)]
+				for _, eid := range ids {
+					p, e := parts[eid], edges[eid]
+					u := e.U
+					if u == v {
+						u = e.V
 					}
-					evals++
-					g := int32(1)
-					for _, eid := range scratch {
-						u := edges[eid].U
-						if u == v {
-							u = edges[eid].V
-						}
-						if !t.Has(u, q) {
-							g--
-							if g < bestGain {
-								break // cannot beat the current best
+					nbrs[end[p]] = u
+					end[p]++
+				}
+				for _, p := range hosts {
+					c := cnt[p]
+					cnt[p] = 0
+					if c > maxEvacuate || int64(c) > bound {
+						continue
+					}
+					group := nbrs[end[p]-c : end[p]]
+					bestGain, bestTo, bestLoad := int32(0), int32(-1), int64(0)
+					for wi := 0; wi < words; wi++ {
+						for mask := t.Word(v, wi); mask != 0; mask &= mask - 1 {
+							q := wi<<6 + bits.TrailingZeros64(mask)
+							if q == int(p) {
+								continue
+							}
+							nevals++
+							g := int32(1)
+							for _, u := range group {
+								if !t.Has(u, q) {
+									g--
+									if g < bestGain {
+										break // cannot beat the current best
+									}
+								}
+							}
+							ql := loads[q].Load()
+							if g > bestGain || (g == bestGain && bestTo >= 0 && ql < bestLoad) {
+								bestGain, bestTo, bestLoad = g, int32(q), ql
 							}
 						}
 					}
-					ql := loads[q].Load()
-					if g > bestGain || (g == bestGain && bestTo >= 0 && ql < bestLoad) {
-						bestGain, bestTo, bestLoad = g, int32(q), ql
+					if bestGain > 0 {
+						local = append(local, move{v: v, from: p, to: bestTo, cnt: c, gain: bestGain})
 					}
-					return true
-				})
-				if bestGain > 0 {
-					local = append(local, move{v: v, from: int32(p), to: bestTo, cnt: int32(cnt), gain: bestGain})
-					gains.Add(w, int(bestTo), int64(bestGain))
 				}
 			}
-			for p := w; p < k; p += workers {
-				for _, tag := range buckets.Bucket(p) {
-					eval(tag, p)
-				}
-			}
-			// Overflowed vertices (bounded pool) are probed directly against
-			// every partition they host, strided by position for balance.
-			for i, tag := range buckets.Overflow() {
-				if i%workers != w {
-					continue
-				}
-				t.RangeVertex(boundary[tag], func(p int) bool {
-					eval(tag, p)
-					return true
-				})
-			}
-			recomputes[w] = evals
-			perWorker[w] = local
+			perWorker[w], evals[w] = local, nevals
 		}(w)
 	}
 	wg.Wait()
 
-	var total int64
-	for w := 0; w < workers; w++ {
-		c.Add(w, obs.CtrGainRecomputes, recomputes[w])
-		total += recomputes[w]
-	}
-	st.GainRecomputes += total
-
-	est, err := gains.Drain()
-	if err != nil {
-		return nil, 0, err
-	}
-	var sum int64
-	for _, g := range est {
-		sum += g
-	}
 	var moves []move
 	for _, l := range perWorker {
 		moves = append(moves, l...)
@@ -523,7 +535,114 @@ func scanMoves(t *pstate.Table, inc incidence, edges []graph.Edge, parts []int32
 		}
 		return moves[i].from < moves[j].from
 	})
-	return moves, sum, nil
+	return moves, evals
+}
+
+// replicaDelta is one round's change to the replica table, computed from the
+// assignment before the table is touched, so a reverted round has nothing to
+// undo.
+type replicaDelta struct {
+	verts   []graph.V // endpoints of the edges the round migrated
+	masks   []uint64  // their recomputed masks, Table.Words() per vertex
+	total   int64     // Σ popcount(new mask) − popcount(old mask)
+	changed []graph.V // apply's result: verts whose mask changed
+}
+
+// diff collects the endpoints of every edge whose partition differs from
+// before (only the edges of the moves' vertices can) and recomputes their
+// masks from the incidence. mark is scratch over n vertices, left clear.
+func (d *replicaDelta) diff(t *pstate.Table, inc incidence, edges []graph.Edge,
+	parts, before []int32, moves []move, mark *bitset.Set) {
+
+	d.verts = d.verts[:0]
+	for _, mv := range moves {
+		for _, eid := range inc.edgesOf(mv.v) {
+			if parts[eid] == before[eid] {
+				continue
+			}
+			e := edges[eid]
+			if !mark.TestAndSet(e.U) {
+				d.verts = append(d.verts, e.U)
+			}
+			if !mark.TestAndSet(e.V) {
+				d.verts = append(d.verts, e.V)
+			}
+		}
+	}
+	words := t.Words()
+	d.masks = slices.Grow(d.masks[:0], len(d.verts)*words)[:len(d.verts)*words]
+	clear(d.masks)
+	d.total = 0
+	for i, v := range d.verts {
+		mark.Clear(v)
+		mask := d.masks[i*words : (i+1)*words]
+		for _, eid := range inc.edgesOf(v) {
+			p := parts[eid]
+			mask[p>>6] |= 1 << (uint(p) & 63)
+		}
+		for wi, nw := range mask {
+			d.total += int64(bits.OnesCount64(nw) - bits.OnesCount64(t.Word(v, wi)))
+		}
+	}
+}
+
+// apply writes the recomputed masks into t with Add and Remove and returns
+// the vertices whose mask changed (valid until the next apply).
+func (d *replicaDelta) apply(t *pstate.Table) []graph.V {
+	words := t.Words()
+	d.changed = d.changed[:0]
+	for i, v := range d.verts {
+		changed := false
+		for wi, nw := range d.masks[i*words : (i+1)*words] {
+			ow := t.Word(v, wi)
+			if nw == ow {
+				continue
+			}
+			changed = true
+			for b := nw &^ ow; b != 0; b &= b - 1 {
+				t.Add(v, wi<<6+bits.TrailingZeros64(b))
+			}
+			for b := ow &^ nw; b != 0; b &= b - 1 {
+				t.Remove(v, wi<<6+bits.TrailingZeros64(b))
+			}
+		}
+		if changed {
+			d.changed = append(d.changed, v)
+		}
+	}
+	return d.changed
+}
+
+// rescanSet returns, in ascending order, the boundary vertices whose scan
+// can differ from the last one after a kept round: the endpoints of the
+// migrated edges (touched), the neighbours of every vertex whose mask
+// changed, and every vertex that had a selected move — which also covers the
+// moves the balance guard or a competing claim rejected. mark is scratch
+// over n vertices, left clear.
+func rescanSet(t *pstate.Table, inc incidence, edges []graph.Edge,
+	touched, changed []graph.V, moves []move, mark *bitset.Set) []graph.V {
+
+	for _, v := range touched {
+		mark.Set(v)
+	}
+	for _, mv := range moves {
+		mark.Set(mv.v)
+	}
+	for _, v := range changed {
+		for _, eid := range inc.edgesOf(v) {
+			mark.Set(edges[eid].U)
+			mark.Set(edges[eid].V)
+		}
+	}
+	var verts []graph.V
+	mark.Range(func(v uint32) bool {
+		if t.Count(v) >= 2 {
+			verts = append(verts, v)
+		}
+		return true
+	})
+	mark.Reset()
+	return verts
 }
 
 // countInteractions reports how many selected moves the apply phase's claim
@@ -640,16 +759,4 @@ func applyMoves(moves []move, inc incidence, parts []int32, loads []atomic.Int64
 		moved += r.moved
 	}
 	return moved
-}
-
-// rebuildTable derives the replica table from the assignment array — the
-// post-round source of truth.
-func rebuildTable(n, k int, edges []graph.Edge, parts []int32) *pstate.Table {
-	t := pstate.NewTable(n, k)
-	for i, e := range edges {
-		p := int(parts[i])
-		t.Add(e.U, p)
-		t.Add(e.V, p)
-	}
-	return t
 }

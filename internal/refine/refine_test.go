@@ -3,8 +3,11 @@ package refine
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"hep/internal/bitset"
 	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/part"
@@ -277,6 +280,72 @@ func TestValidMode(t *testing.T) {
 	for mode, want := range map[string]bool{"": true, ModeMoves: true, ModeSplitMerge: true, "frob": false} {
 		if got := ValidMode(mode); got != want {
 			t.Errorf("ValidMode(%q) = %v", mode, got)
+		}
+	}
+}
+
+// TestDirtyRoundsMatchFullRescan pins the exactness of the dirty-vertex
+// rounds. After every round the hook replays the round's replica update on
+// a table rebuilt from the previous assignment, checks it against the live
+// table, and then requires that scanning only the rescan set finds exactly
+// the moves a scan of the whole boundary finds. k=128 spreads the masks over
+// two words.
+func TestDirtyRoundsMatchFullRescan(t *testing.T) {
+	g := gen.MustDataset("LJ").Build(0.25)
+	for _, k := range []int{32, 128} {
+		for _, workers := range []int{1, 2} {
+			res, rec := capture(t, &stream.HDRF{}, g, k)
+			n := res.N
+			inc := buildIncidence(n, rec.Edges)
+			mark := bitset.New(n)
+			var bound int64
+			var prevParts []int32
+			var prevMoves []move
+			movingRounds := 0
+			hook := func(round int, r *part.Result, edges []graph.Edge, parts []int32) error {
+				if round == 0 {
+					bound = BalanceBound(r.M, k, DefaultEps, r.Loads.Max())
+				}
+				loads := make([]atomic.Int64, k)
+				for p := range loads {
+					loads[p].Store(r.Counts[p])
+				}
+				full, _ := scanMoves(r.Reps, inc, edges, parts, collectBoundary(r.Reps, n), loads, bound, 1)
+				if round > 0 {
+					if !slices.Equal(prevParts, parts) {
+						movingRounds++
+					}
+					old := rebuildTable(n, k, edges, prevParts)
+					var d replicaDelta
+					d.diff(old, inc, edges, parts, prevParts, prevMoves, mark)
+					changed := d.apply(old)
+					for v := 0; v < n; v++ {
+						for wi := 0; wi < old.Words(); wi++ {
+							if got, want := old.Word(graph.V(v), wi), r.Reps.Word(graph.V(v), wi); got != want {
+								return fmt.Errorf("vertex %d word %d: in-place update %#x, live table %#x", v, wi, got, want)
+							}
+						}
+					}
+					if old.TotalReplicas() != r.Reps.TotalReplicas() || old.Covered() != r.Reps.Covered() {
+						return fmt.Errorf("in-place update totals %d/%d, live table %d/%d",
+							old.TotalReplicas(), old.Covered(), r.Reps.TotalReplicas(), r.Reps.Covered())
+					}
+					dirty := rescanSet(old, inc, edges, d.verts, changed, prevMoves, mark)
+					got, _ := scanMoves(r.Reps, inc, edges, parts, dirty, loads, bound, 1)
+					if !slices.Equal(got, full) {
+						return fmt.Errorf("dirty rescan of %d vertices found %d moves, full rescan %d", len(dirty), len(got), len(full))
+					}
+				}
+				prevParts = slices.Clone(parts)
+				prevMoves = full
+				return nil
+			}
+			if _, err := Run(res, rec.Edges, rec.Parts, Options{Workers: workers, RoundHook: hook}); err != nil {
+				t.Fatalf("k=%d W=%d: %v", k, workers, err)
+			}
+			if movingRounds < 2 {
+				t.Errorf("k=%d W=%d: %d rounds moved edges, want at least 2", k, workers, movingRounds)
+			}
 		}
 	}
 }

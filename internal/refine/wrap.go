@@ -62,7 +62,7 @@ func (r *Refined) Partition(src graph.EdgeStream, k int) (*part.Result, error) {
 	if r.Opts.mode() == ModeSplitMerge {
 		runK = r.Opts.splitFactor() * k
 	}
-	rec := &Capture{}
+	rec := newCapture(src.NumEdges())
 	ss.SetSink(rec)
 	res, err := r.Inner.Partition(src, runK)
 	ss.SetSink(nil)
