@@ -421,9 +421,9 @@ func BenchmarkParallelHDRF(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExpansion measures the out-of-core engine's concurrent
-// region expansion — W expander goroutines claiming batch edges by CAS —
-// against the sequential expander (TW stand-in, k=32). CI smokes it;
+// BenchmarkParallelExpansion measures the out-of-core engine's region
+// expansion — W expander goroutines claiming batch edges by CAS — from the
+// one-expander case W=1 up (TW stand-in, k=32). CI smokes it;
 // `hep-bench -exp expand` prints the scaling table.
 func BenchmarkParallelExpansion(b *testing.B) {
 	g := gen.MustDataset("TW").Build(benchScale)
@@ -446,8 +446,7 @@ func BenchmarkParallelExpansion(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
 		b.ReportMetric(rf, "rf")
 	}
-	b.Run("seq", func(b *testing.B) { run(b, 1) })
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) { run(b, w) })
 	}
 }

@@ -162,8 +162,9 @@ type Config struct {
 	// replaced ran at 296 vs 104 ns/edge (CSR build, TW stand-in) and 115
 	// vs 15 ns/edge (degree pass, OK stand-in). HEP's CSR is therefore
 	// bit-identical at every Workers. 0 resolves to GOMAXPROCS (DNE keeps
-	// its own default); 1 forces the exact sequential code path, which is
-	// the determinism guarantee — parallel placement depends on worker
+	// its own default); 1 forces the sequential code path — for
+	// AlgoBuffered, the one-expander case of its region expansion — which
+	// is the determinism guarantee: parallel placement depends on worker
 	// interleaving. Algorithms with no parallel path (order-sensitive
 	// streaming like ADWISE, the in-memory partitioners) reject
 	// Workers > 1 instead of silently running sequentially.

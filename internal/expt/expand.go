@@ -8,22 +8,22 @@ import (
 
 // TableExpandRow is one (dataset, k, W) point of the parallel region
 // expansion scaling table: wall-clock per edge of a full Buffered run with W
-// concurrent expanders against the sequential expander, the quality the
-// concurrency costs, and the observed expansion concurrency.
+// expanders against the one-expander run, the quality the concurrency
+// costs, and the observed expansion concurrency.
 type TableExpandRow struct {
 	Dataset   string
 	K         int
-	Workers   int // 1 = the sequential expansion path
+	Workers   int // 1 = one expander, the deterministic case
 	NsEdge    float64
-	Speedup   float64 // sequential ns/edge ÷ this row's ns/edge
+	Speedup   float64 // W=1 ns/edge ÷ this row's ns/edge
 	RF        float64
 	Balance   float64
 	Expanders int // peak concurrent expanders observed
 }
 
-// TableExpand measures the out-of-core engine's concurrent region expansion
+// TableExpand measures the out-of-core engine's region expansion
 // (internal/ooc expand_par) across worker counts on a power-law stand-in:
-// Buffered wall-clock per edge, speedup over the sequential expander, the
+// Buffered wall-clock per edge, speedup over one expander (W=1), the
 // replication-factor/balance drift of concurrent claiming, and the peak
 // number of expanders in flight. README's "Parallel expansion" table comes
 // from here (`hep-bench -exp expand -workers 1,2,4,8`). Like the other
@@ -39,9 +39,9 @@ func TableExpand(cfg Config) ([]TableExpandRow, error) {
 			buf = 1 << 14
 		}
 		for _, k := range cfg.ks(32) {
-			// The sequential baseline always runs once per k, so every row's
-			// speedup has a denominator even when -workers omits 1.
-			seqAlgo := &ooc.Buffered{BufferEdges: buf}
+			// The W=1 baseline always runs once per k, so every row's speedup
+			// has a denominator even when -workers omits 1.
+			seqAlgo := &ooc.Buffered{BufferEdges: buf, Workers: 1}
 			start := time.Now()
 			seqRes, err := seqAlgo.Partition(g, k)
 			if err != nil {
@@ -49,7 +49,7 @@ func TableExpand(cfg Config) ([]TableExpandRow, error) {
 			}
 			seqNs := float64(time.Since(start).Nanoseconds()) / float64(m)
 			for _, w := range cfg.workers(1, 2, 4, 8) {
-				res, ns, peak := seqRes, seqNs, 1
+				res, ns, peak := seqRes, seqNs, seqAlgo.LastStats.PeakExpanders
 				if w > 1 {
 					algo := &ooc.Buffered{BufferEdges: buf, Workers: w, ParallelExpandMin: 1}
 					start := time.Now()

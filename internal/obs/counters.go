@@ -51,7 +51,8 @@ const (
 	// because the batch-start bucket index predates an earlier region.
 	CtrWarmRescans
 	// CtrParallelBatches counts out-of-core batches whose regions were grown
-	// by concurrent expanders.
+	// by two or more concurrent expanders; 0 at Workers ≤ 1, where every
+	// batch runs one expander.
 	CtrParallelBatches
 	// CtrChunksLent counts decoded edge slabs lent zero-copy to the batch
 	// engine (graph.ChunkStream dispatch — batches alias the producer's
@@ -126,7 +127,8 @@ type GaugeID uint8
 
 const (
 	// GaugePeakExpanders is the largest number of expansion regions ever in
-	// flight at once.
+	// flight at once: 1 at Workers ≤ 1, where one expander grows one region
+	// at a time.
 	GaugePeakExpanders GaugeID = iota
 	// GaugePeakBufferBytes is the high-water mark of buffer-scaled
 	// batch-local allocation in the out-of-core engine.

@@ -15,33 +15,32 @@ import (
 	"hep/internal/stream"
 )
 
-// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 152 MiB of
+// DefaultBufferEdges is the default batch size B (1Mi edges ≈ 128 MiB of
 // batch-local state at one expander, see BytesPerBufferedEdge).
 const DefaultBufferEdges = 1 << 20
 
 // BytesPerBufferedEdge is the worst-case batch-local allocation per buffered
 // edge with a single expander. Per edge: the edge itself (8) + two adjacency
-// entries (adjV+adjE, 2×8) + an assigned flag (1) + a claim slot (4,
-// allocated only when Workers > 1 but charged always so the budget bound
-// holds in every mode) + the parallel fallback's gather buffer (8, same
-// rule) = 37 bytes. Per batch vertex, of which an edge introduces at most
-// two: verts (4) + off (4) + udeg (4) + activePos (4) + active (4) + warm
-// bucket pool (warmPoolPerVertex×4 = 12) + overflow (4) = 36, plus the
-// expander state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate
-// buffer 4 = 21) = 57 bytes. Total 37 + 2·57 = 151, rounded up to 152 for
-// slack. batchState.bytes() tracks the real allocation against this bound.
+// entries (adjV+adjE, 2×8) + a claim slot (4) + the parallel fallback's
+// gather buffer (8, allocated only when Workers > 1 but charged always so
+// the budget bound holds in every mode) = 36 bytes. Per batch vertex, of
+// which an edge introduces at most two: verts (4) + off (4) + warm bucket
+// pool (warmPoolPerVertex×4 = 12) + overflow (4) = 24, plus the expander
+// state (member 1 + touched 4 + heap pos/ids/keys 12 + candidate buffer 4 =
+// 21) = 45 bytes. Total 36 + 2·45 = 126, rounded up to 128 for slack.
+// batchState.bytes() tracks the real allocation against this bound.
 // State that does not scale with the buffer — the O(|V|) vertex arrays
 // (degree array, local-id map, vertex-major replica table) and the O(k)
 // per-partition arrays (bucket heads, region flags, like the result's own
 // counts) — is the fixed resident baseline of the out-of-core model, not
 // part of the buffer budget.
-const BytesPerBufferedEdge = 152
+const BytesPerBufferedEdge = 128
 
 // BytesPerExpanderEdge is the additional worst-case batch-local allocation
 // per buffered edge for each expander goroutine beyond the first: two batch
 // vertices × (member 1 + touched 4 + heap 12 + candidates 4) = 42 bytes,
-// rounded up to 44. Concurrent region expansion (Workers > 1) runs up to
-// Workers expanders; BufferForBudgetWorkers folds this into the sizing.
+// rounded up to 44. Region expansion runs up to Workers expanders;
+// BufferForBudgetWorkers folds this into the sizing.
 const BytesPerExpanderEdge = 44
 
 // BufferForBudget returns the largest buffer size B whose worst-case
@@ -85,11 +84,14 @@ type BufferedStats struct {
 	// (Workers−1)·BytesPerExpanderEdge per buffered edge.
 	PeakBufferBytes int64
 
-	// ParallelBatches counts batches whose regions were grown by concurrent
-	// expanders (Workers > 1 and the batch cleared ParallelExpandMin).
+	// ParallelBatches counts batches whose regions were grown by two or
+	// more concurrent expanders (Workers > 1 and the batch cleared
+	// ParallelExpandMin). It is 0 at Workers ≤ 1, where every batch runs
+	// one expander.
 	ParallelBatches int
 	// PeakExpanders is the largest number of regions ever in flight at
-	// once — ≥ 2 whenever a parallel batch had two admissible partitions.
+	// once: 1 at Workers ≤ 1 (one expander grows one region at a time),
+	// ≥ 2 whenever a parallel batch had two admissible partitions.
 	PeakExpanders int
 
 	// WarmMaskPasses counts batch vertices indexed by the warm-start bucket
@@ -99,13 +101,14 @@ type BufferedStats struct {
 	// scan).
 	WarmMaskPasses int64
 	// WarmScanProbes counts per-vertex replica probes spent on the warm
-	// start outside the bucket build (bucket-pool overflow, legacy scans).
-	// The retired warm start paid one probe per active vertex per region —
-	// k·vertices per batch; the regression suite pins this near zero.
+	// start outside the bucket build: bucket-pool overflow probes and the
+	// one probe per batch vertex of each repeat-region rescan. The retired
+	// warm start paid one probe per batch vertex per region — k·vertices
+	// per batch; the regression suite pins this near zero.
 	WarmScanProbes int64
 	// WarmRescans counts repeat regions (same partition expanded twice in
-	// one batch) that had to rescan the active list because the batch-start
-	// bucket index predates the first region's replicas.
+	// one batch) that had to rescan the live replica table because the
+	// batch-start bucket index predates the first region's replicas.
 	WarmRescans int64
 }
 
@@ -140,13 +143,15 @@ type Buffered struct {
 	Lambda float64
 	// Alpha is the balance bound α ≥ 1 (default 1.05).
 	Alpha float64
-	// Workers > 1 parallelizes every phase of a batch: the mini-CSR fill,
-	// the region expansion itself (up to Workers concurrent expanders, each
-	// growing a region into a distinct partition and claiming edges by CAS
-	// on the batch claim array — see expand_par.go) and the per-edge
-	// informed-HDRF fallback through the sharded engine. The degree pass
-	// is single-goroutine at every Workers. Workers ≤ 1 keeps the exact
-	// sequential expansion, which is the determinism guarantee.
+	// Workers is the number of region expanders per batch (see
+	// expand_par.go): each grows a region into a distinct partition and
+	// claims edges by CAS on the batch claim array. Workers > 1 also fans
+	// out the mini-CSR fill and the per-edge informed-HDRF fallback
+	// through the sharded engine; the degree pass is single-goroutine at
+	// every Workers. Workers ≤ 1 is the one-expander case of the same
+	// code: one goroutine grows one region at a time, so placement is
+	// deterministic — the determinism guarantee. With more expanders,
+	// which edges each region claims depends on worker interleaving.
 	Workers int
 	// BatchEdges pins the sharded engine's fan-out batch size for the
 	// parallel fallback (0 = the engine default).
@@ -155,8 +160,8 @@ type Buffered struct {
 	// fanning out (0 = default 2048; below it the sequential loop wins).
 	ParallelFallbackMin int
 	// ParallelExpandMin is the minimum batch size worth growing regions
-	// concurrently (0 = default 16Ki edges; below it sequential expansion
-	// wins).
+	// concurrently (0 = default 16Ki edges; below it one expander grows
+	// the batch).
 	ParallelExpandMin int
 	// Obs is the observability hook (nil = disabled): the degree pass and
 	// the buffered streaming loop record phase spans, and every LastStats
@@ -168,21 +173,10 @@ type Buffered struct {
 	// LastStats holds the statistics of the most recent run.
 	LastStats BufferedStats
 
-	// legacyWarmScan routes the sequential warm start through the retired
-	// one-probe-per-active-vertex-per-region scan instead of the bucket
-	// index. Test-only: the equivalence suite pins the candidate iteration
-	// bit-for-bit against this path.
-	legacyWarmScan bool
 	// expandFault, if set, is called by every concurrent expander once per
 	// region grant; a non-nil error aborts the batch. Test-only: the race
 	// suite uses it to verify the abort discipline.
 	expandFault func(worker int) error
-	// legacyRepeatWarm makes concurrent repeat regions reuse the batch-start
-	// bucket index instead of rescanning the live replica table — the
-	// pre-fix behavior, which misses every replica the partition's earlier
-	// region added this batch. Test-only: the repeat-region regression test
-	// pins the fixed warm start against this path.
-	legacyRepeatWarm bool
 }
 
 // Name implements part.Algorithm.
@@ -223,15 +217,10 @@ func (b *Buffered) params() (bufEdges int, lambda, alpha float64) {
 // allocated once per Partition call, sized by the buffer, and counted
 // against the buffer budget.
 type batchState struct {
-	batch    []graph.Edge // the buffered edges
-	assigned []bool       // per batch edge
+	batch []graph.Edge // the buffered edges
 
-	verts     []graph.V // local id -> global id
-	off       []int32   // CSR segment ends: segment(v) = adj[start(v):off[v]]
-	udeg      []int32   // per local vertex: unassigned incident edges
-	activePos []int32   // position in active, -1 when exhausted
-	active    []int32   // local vertices with udeg > 0
-	expanded  []bool    // per partition: region grown this batch
+	verts []graph.V // local id -> global id
+	off   []int32   // CSR segment ends: segment(v) = adj[start(v):off[v]]
 
 	adjV []int32 // adjacency: neighbor local id
 	adjE []int32 // adjacency: batch edge index
@@ -240,13 +229,12 @@ type batchState struct {
 	// partition, one mask iteration per vertex per batch.
 	buckets *pstate.Buckets
 
-	// expanders holds one region-growing state per expander goroutine;
-	// expanders[0] is the sequential mode's. Grown on demand, counted
-	// against the buffer budget.
+	// expanders holds one region-growing state per expander goroutine.
+	// Grown on demand, counted against the buffer budget.
 	expanders []*expanderState
 
-	// claims is the concurrent expanders' shared edge-claim array
-	// (allocated lazily on the first parallel batch, charged always).
+	// claims is the expanders' shared edge-claim array: after expansion,
+	// the unclaimed batch edges are the fallback's share.
 	claims *dne.Claims
 
 	// fbEdges gathers the leftover edges for the parallel fallback
@@ -262,21 +250,16 @@ type batchState struct {
 
 func newBatchState(bufEdges, k int) *batchState {
 	maxV := 2 * bufEdges
-	st := &batchState{
+	return &batchState{
 		batch:     make([]graph.Edge, 0, bufEdges),
-		assigned:  make([]bool, bufEdges),
 		verts:     make([]graph.V, 0, maxV),
 		off:       make([]int32, maxV),
-		udeg:      make([]int32, maxV),
-		activePos: make([]int32, maxV),
-		active:    make([]int32, 0, maxV),
-		expanded:  make([]bool, k),
 		adjV:      make([]int32, 2*bufEdges),
 		adjE:      make([]int32, 2*bufEdges),
 		buckets:   pstate.NewBuckets(k, warmPoolPerVertex*maxV, maxV),
 		expanders: []*expanderState{newExpanderState(maxV)},
+		claims:    dne.NewClaims(bufEdges),
 	}
-	return st
 }
 
 // ensureExpanders grows the expander-state pool to w entries.
@@ -285,33 +268,22 @@ func (st *batchState) ensureExpanders(w int) {
 	for len(st.expanders) < w {
 		st.expanders = append(st.expanders, newExpanderState(maxV))
 	}
-	if st.claims == nil {
-		st.claims = dne.NewClaims(cap(st.batch))
-	}
 }
 
 // bytes returns the total buffer-scaled batch-local allocation — the
-// quantity BytesPerBufferedEdge bounds. The O(k) pieces (bucket heads,
-// expanded flags) belong to the fixed resident baseline and are excluded,
-// like the O(|V|) vertex arrays.
+// quantity BytesPerBufferedEdge bounds. The O(k) bucket heads belong to the
+// fixed resident baseline and are excluded, like the O(|V|) vertex arrays.
 func (st *batchState) bytes() int64 {
-	b := int64(cap(st.batch))*8 + int64(cap(st.assigned)) +
-		int64(cap(st.verts))*4 + int64(cap(st.off))*4 + int64(cap(st.udeg))*4 +
-		int64(cap(st.activePos))*4 + int64(cap(st.active))*4 +
+	b := int64(cap(st.batch))*8 +
+		int64(cap(st.verts))*4 + int64(cap(st.off))*4 +
 		int64(cap(st.adjV))*4 + int64(cap(st.adjE))*4 +
 		st.buckets.Bytes() - int64(st.buckets.K()+1)*4 +
-		int64(cap(st.fbEdges))*8
+		st.claims.Bytes() + int64(cap(st.fbEdges))*8
 	for _, ex := range st.expanders {
 		b += ex.bytes()
 	}
-	if st.claims != nil {
-		b += st.claims.Bytes()
-	}
 	return b
 }
-
-// seedScanLimit bounds the affinity scan of the active list per seed choice.
-const seedScanLimit = 64
 
 // workersOrOne clamps the Workers knob for the mini-CSR fill fan-out: the
 // zero value historically means sequential here (unlike shard.Options,
@@ -433,8 +405,8 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	st.fbEngineEdges = 0
 	batch := st.batch
 
-	// Local vertex ids and batch degrees (udeg doubles as the degree
-	// counter during construction).
+	// Local vertex ids and batch degrees (off holds the degree counts
+	// until the prefix sum below turns them into fill cursors).
 	st.verts = st.verts[:0]
 	local := func(g graph.V) {
 		lid := localID[g]
@@ -442,9 +414,9 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 			lid = int32(len(st.verts))
 			localID[g] = lid
 			st.verts = append(st.verts, g)
-			st.udeg[lid] = 0
+			st.off[lid] = 0
 		}
-		st.udeg[lid]++
+		st.off[lid]++
 	}
 	for i := range batch {
 		local(batch[i].U)
@@ -456,8 +428,9 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	// *end* of v's segment afterwards; start(v) is off[v-1] (0 for v=0).
 	var sum int32
 	for v := 0; v < nv; v++ {
-		sum += st.udeg[v]
-		st.off[v] = sum - st.udeg[v]
+		d := st.off[v]
+		st.off[v] = sum
+		sum += d
 	}
 	if w := b.workersOrOne(); w > 1 && len(batch) >= parallelFillMin {
 		b.fillAdjacencyParallel(st, localID, w)
@@ -477,31 +450,10 @@ func (b *Buffered) processBatch(st *batchState, localID []int32, res *part.Resul
 	st.buckets.Build(res.Reps, st.verts)
 	b.LastStats.WarmMaskPasses += int64(nv)
 
-	for i := range batch {
-		st.assigned[i] = false
+	remaining, err := b.expandParallel(st, res, capacity, b.expandWorkers(len(batch), res.K))
+	if err != nil {
+		return err
 	}
-	for p := range st.expanded {
-		st.expanded[p] = false
-	}
-
-	var remaining int
-	if w := b.expandWorkers(len(batch), res.K); w > 1 {
-		var err error
-		remaining, err = b.expandParallel(st, res, capacity, w)
-		if err != nil {
-			return err
-		}
-	} else {
-		// Active list: every batch vertex starts with unassigned edges.
-		st.active = st.active[:0]
-		for v := 0; v < nv; v++ {
-			st.activePos[v] = int32(len(st.active))
-			st.active = append(st.active, int32(v))
-			st.expanders[0].member[v] = false
-		}
-		remaining = b.expandSequential(st, res, capacity)
-	}
-
 	if remaining > 0 {
 		b.fallback(st, res, deg, lambda, capacity)
 	}
@@ -587,16 +539,17 @@ func (b *Buffered) fillAdjacencyParallel(st *batchState, localID []int32, worker
 // sequential fallback beats spinning up the engine.
 const defaultParallelFallbackMin = 2048
 
-// fallback places every still-unassigned batch edge with per-edge informed
-// HDRF (exact global degrees, global replica state) — the escape hatch for
-// cross-region edges and capacity overflow. With Workers > 1 and enough
-// leftovers, placement fans out through the parallel sharded engine.
+// fallback places every batch edge the expanders left unclaimed with
+// per-edge informed HDRF (exact global degrees, global replica state) — the
+// escape hatch for cross-region edges and capacity overflow. With
+// Workers > 1 and enough leftovers, placement fans out through the parallel
+// sharded engine.
 func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambda float64, capacity int64) {
 	if b.Workers > 1 && b.fallbackParallel(st, res, deg, lambda, capacity) {
 		return
 	}
 	for i := range st.batch {
-		if st.assigned[i] {
+		if st.claims.Claimed(i) {
 			continue
 		}
 		u, v := st.batch[i].U, st.batch[i].V
@@ -605,7 +558,6 @@ func (b *Buffered) fallback(st *batchState, res *part.Result, deg []int32, lambd
 			p = res.Loads.ArgMin()
 		}
 		res.Assign(u, v, p)
-		st.assigned[i] = true
 		b.LastStats.FallbackEdges++
 	}
 }
@@ -626,33 +578,16 @@ func (b *Buffered) fallbackParallel(st *batchState, res *part.Result, deg []int3
 	}
 	st.fbEdges = st.fbEdges[:0]
 	for i := range st.batch {
-		if !st.assigned[i] {
+		if !st.claims.Claimed(i) {
 			st.fbEdges = append(st.fbEdges, st.batch[i])
 		}
 	}
 	if len(st.fbEdges) < min {
 		return false
 	}
-	for i := range st.batch {
-		st.assigned[i] = true
-	}
 	b.LastStats.FallbackEdges += int64(len(st.fbEdges))
 	st.fbEngineEdges = int64(len(st.fbEdges))
 	stream.RunHDRFParallelEdges(st.fbEdges, res, deg, lambda, capacity,
 		shard.Options{Workers: b.Workers, BatchEdges: b.BatchEdges, Obs: b.Obs.Counters(), Hub: b.Obs})
 	return true
-}
-
-// pickPartition returns the least-loaded partition below capacity, or -1.
-func pickPartition(res *part.Result, capacity int64) int {
-	best := -1
-	for p := 0; p < res.K; p++ {
-		if res.Counts[p] >= capacity {
-			continue
-		}
-		if best < 0 || res.Counts[p] < res.Counts[best] {
-			best = p
-		}
-	}
-	return best
 }

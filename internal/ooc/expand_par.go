@@ -6,32 +6,39 @@ import (
 
 	"hep/internal/obs"
 	"hep/internal/part"
+	"hep/internal/shard"
 )
 
-// The concurrent expanders: W goroutines each grow a region into a distinct
-// partition over the shared batch mini-CSR, claiming edges with one CAS per
-// edge on the batch claim array — the discipline of internal/dne's shared
-// edge pool applied to a batch-resident structure. Replica bits go through
-// the CAS-backed shard.AtomicTable the batch transplants its table into;
-// load deltas accumulate in per-worker shard lanes and fold at region
-// boundaries, so every region grant sees capacity through counts that
-// include all finished regions. Unassigned-degree bookkeeping follows the
-// claim array: a member's heap key counts its unclaimed incident edges,
-// decremented for every claim this expander observes and lazily revalidated
-// at pop time for the claims it does not — a stale key costs a cheap
-// recount, never a wrong assignment, because claims are rechecked at use.
+// The region expanders of the Buffered partitioner: W goroutines each grow
+// a region into a distinct partition over the shared batch mini-CSR,
+// claiming edges with one CAS per edge on the batch claim array — the
+// discipline of internal/dne's shared edge pool applied to a batch-resident
+// structure. Replica bits go through the CAS-backed shard.AtomicTable the
+// batch transplants its table into; load deltas accumulate in per-worker
+// shard lanes and fold at region boundaries, so every region grant sees
+// capacity through counts that include all finished regions.
+// Unassigned-degree bookkeeping follows the claim array: a member's heap key
+// counts its unclaimed incident edges, decremented for every claim this
+// expander observes and lazily revalidated at pop time for the claims it
+// does not — a stale key costs a cheap recount, never a wrong assignment,
+// because claims are rechecked at use.
 //
-// What concurrency costs: which edges expansion covers (and therefore the
-// expansion/fallback split and the sink's expansion order, which becomes
-// batch order) depends on worker interleaving, the Workers > 1
-// nondeterminism contract. What it preserves: exactly-once assignment
-// (CAS), the capacity bound (clamped quotas against folded counts), and —
-// pinned by the equivalence suite — replication factor and balance within
-// 2% of the sequential expander.
+// W = 1 (Workers ≤ 1, or a batch below ParallelExpandMin) is the
+// one-expander case of the same code: one goroutine grows one region at a
+// time, every key is exact, and placement is deterministic. With W ≥ 2,
+// which edges expansion covers (and therefore the expansion/fallback split)
+// depends on worker interleaving, the Workers > 1 nondeterminism contract.
+// What every W preserves: exactly-once assignment (CAS), the capacity bound
+// (clamped quotas against folded counts), sink delivery of the claimed
+// edges in batch order, and — pinned by the equivalence suite — replication
+// factor and balance within 2% of the retired sequential expander.
 
-// defaultParallelExpandMin is the batch size below which sequential region
-// growing beats spinning up expander goroutines (mirrors parallelFillMin).
+// defaultParallelExpandMin is the batch size below which one expander beats
+// spinning up several (mirrors parallelFillMin).
 const defaultParallelExpandMin = 1 << 14
+
+// seedScanLimit bounds the live vertices one seed choice examines.
+const seedScanLimit = 64
 
 // seedStepLimit caps how many positions past the cursor one seed choice may
 // examine (the cursor-advancing dead prefix is exempt — it is paid once per
@@ -39,8 +46,8 @@ const defaultParallelExpandMin = 1 << 14
 // the dead positions it may wade through to find them.
 const seedStepLimit = 8 * seedScanLimit
 
-// expandWorkers resolves how many expander goroutines a batch of batchLen
-// edges gets: 1 unless Workers > 1 and the batch is worth fanning out.
+// expandWorkers resolves how many expanders a batch of batchLen edges gets:
+// 1 unless Workers > 1 and the batch is worth fanning out, never more than k.
 func (b *Buffered) expandWorkers(batchLen, k int) int {
 	w := b.Workers
 	if w <= 1 {
@@ -59,10 +66,10 @@ func (b *Buffered) expandWorkers(batchLen, k int) int {
 	return w
 }
 
-// expandParallel is the concurrent expansion phase of one batch. It returns
-// the number of edges the expanders left unclaimed (the fallback's share)
-// or the first worker error, in which case the batch is aborted mid-flight
-// and the result is unusable.
+// expandParallel is the expansion phase of one batch, run by workers ≥ 1
+// expanders. It returns the number of edges the expanders left unclaimed
+// (the fallback's share) or the first worker error, in which case the batch
+// is aborted mid-flight and the result is unusable.
 func (b *Buffered) expandParallel(st *batchState, res *part.Result, capacity int64, workers int) (int, error) {
 	nb := len(st.batch)
 	st.ensureExpanders(workers)
@@ -125,7 +132,9 @@ func (b *Buffered) expandParallel(st *batchState, res *part.Result, capacity int
 	b.LastStats.Regions += int64(plan.regions)
 	b.LastStats.WarmScanProbes += plan.probes.Load()
 	b.LastStats.WarmRescans += plan.rescans.Load()
-	b.LastStats.ParallelBatches++
+	if workers > 1 {
+		b.LastStats.ParallelBatches++
+	}
 	if plan.peak > b.LastStats.PeakExpanders {
 		b.LastStats.PeakExpanders = plan.peak
 	}
@@ -141,7 +150,6 @@ func (b *Buffered) expandParallel(st *batchState, res *part.Result, capacity int
 	placed := 0
 	for i := range st.batch {
 		if p := st.claims.Owner(i); p >= 0 {
-			st.assigned[i] = true
 			sh.Deliver(st.batch[i].U, st.batch[i].V, int(p))
 			placed++
 		}
@@ -150,12 +158,16 @@ func (b *Buffered) expandParallel(st *batchState, res *part.Result, capacity int
 	return nb - placed, nil
 }
 
-// growRegionConcurrent grows one region into partition p against the shared
-// claim array. Structure mirrors the sequential growRegion; membership and
-// the heap are worker-private, every edge acquisition is a CAS. repeat means
-// p already had a region this batch: its replicas in the live table postdate
+// growRegionConcurrent grows one NE-style region into partition p against
+// the shared claim array: the region's member set is extended one vertex at
+// a time, only edges with both endpoints in the region are claimed, and the
+// next core vertex is the member with the fewest unclaimed external edges.
+// Membership and the heap are worker-private; every edge acquisition is a
+// CAS. It returns the number of edges claimed, never more than quota (which
+// the plan clamps to the partition's remaining capacity). repeat means p
+// already had a region this batch: its replicas in the live table postdate
 // the batch-start bucket index, so the warm start rescans instead of reading
-// stale buckets (the concurrent analog of seqWarmCandidates' rescan path).
+// stale buckets.
 //
 //hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (b *Buffered) growRegionConcurrent(st *batchState, ex *expanderState, sh *part.Shared, plan *expandPlan, w, p int, quota int64, repeat bool) int {
@@ -163,9 +175,13 @@ func (b *Buffered) growRegionConcurrent(st *batchState, ex *expanderState, sh *p
 	ex.heap.Reset()
 	ex.touched = ex.touched[:0]
 
+	// Informed warm start — the buffered analog of NE++'s spill-over
+	// pre-seeding: every batch vertex already replicated on p joins the
+	// region up front, so edges between two p-replicated vertices go to p
+	// at zero replication cost and the region continues p's territory.
 	var cands []int32
 	var probes int64
-	if repeat && !b.legacyRepeatWarm {
+	if repeat {
 		cands, probes = st.warmRescan(ex.cands[:0], sh.Table, p)
 		plan.rescans.Add(1)
 	} else {
@@ -195,7 +211,7 @@ func (b *Buffered) growRegionConcurrent(st *batchState, ex *expanderState, sh *p
 		// (they only overestimate — claims never release), so refresh the
 		// popped key and requeue when a fresher minimum is waiting. This
 		// keeps the core-move order close to the exact min-external-degree
-		// discipline the sequential expander maintains incrementally.
+		// discipline; with one expander no key ever goes stale.
 		v, key := ex.heap.PopMin()
 		if cur := st.unclaimedDeg(int32(v)); cur < key && ex.heap.Len() > 0 {
 			if _, nk := ex.heap.Min(); cur > nk {
@@ -236,8 +252,7 @@ func (b *Buffered) joinConcurrent(st *batchState, ex *expanderState, sh *part.Sh
 		m := st.adjV[i]
 		if !ex.member[m] || *placed >= quota {
 			// Unclaimed edges x cannot take now — external ones, and member
-			// edges the quota cut — stay in x's key, matching the
-			// unassigned-degree keys of the sequential expander.
+			// edges the quota cut — stay in x's key.
 			dext++
 			continue
 		}
@@ -249,9 +264,9 @@ func (b *Buffered) joinConcurrent(st *batchState, ex *expanderState, sh *part.Sh
 			*placed++
 		}
 		// The edge is claimed now (by us, or by the racer who beat the CAS):
-		// drop it from the member's key, the mirror of the sequential
-		// decUnassigned. Keys only go stale through claims this expander
-		// never observes; the pop-time revalidation covers those.
+		// drop it from the member's key. Keys only go stale through claims
+		// this expander never observes; the pop-time revalidation covers
+		// those.
 		if ex.heap.Contains(uint32(m)) {
 			if ex.heap.Key(uint32(m)) > 1 {
 				ex.heap.Add(uint32(m), -1)
@@ -265,9 +280,8 @@ func (b *Buffered) joinConcurrent(st *batchState, ex *expanderState, sh *part.Sh
 	}
 }
 
-// unclaimedDeg counts v's unclaimed incident edges — the concurrent analog
-// of the sequential udeg, recomputed from the claim array on demand instead
-// of maintained by decrements.
+// unclaimedDeg counts v's unclaimed incident edges, recomputed from the
+// claim array on demand instead of maintained by decrements.
 //
 //hep:unsync off is frozen (segment ends) once the adjacency fill completes; this phase only reads it
 func (st *batchState) unclaimedDeg(v int32) int32 {
@@ -280,19 +294,20 @@ func (st *batchState) unclaimedDeg(v int32) int32 {
 	return c
 }
 
-// nextSeed selects the next expansion seed like the sequential pickSeed: it
-// scans a bounded window of live vertices (unclaimed incident edges, not in
-// the current region), preferring one already replicated on p with the
-// fewest unclaimed edges, else the scanned minimum. The scan starts at the
-// expander's strided origin; the cursor advances monotonically past the
-// leading run of dead positions — exhausted vertices AND current-region
-// members, which therefore lose seed-candidacy for this expander once
-// passed (their leftover edges go to the fallback, exactly like the
-// sequential seed limit's). That keeps the whole batch's dead scanning at
+// nextSeed selects the next expansion seed: it scans a bounded window of
+// live vertices (unclaimed incident edges, not in the current region),
+// preferring one already replicated on p with the fewest unclaimed edges
+// (stitching the batch onto the global replica state), else the scanned
+// minimum (the NE-style low-degree seed). It returns -1 when no live vertex
+// remains in reach. The scan starts at the expander's strided origin; the
+// cursor advances monotonically past the leading run of dead positions —
+// exhausted vertices AND current-region members, which therefore lose
+// seed-candidacy for this expander once passed (their leftover edges go to
+// the fallback). That keeps the whole batch's dead scanning at
 // O(vertices + adjacency) per expander: without the member hop, one
 // low-degree region could pin the cursor and make every seed choice rescan
 // the processed prefix.
-func (st *batchState) nextSeed(ex *expanderState, reps replicaHas, p int) int32 {
+func (st *batchState) nextSeed(ex *expanderState, reps *shard.AtomicTable, p int) int32 {
 	nv := int32(len(st.verts))
 	at := func(s int32) int32 {
 		v := ex.seedBase + s

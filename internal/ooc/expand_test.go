@@ -3,12 +3,15 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hep/internal/gen"
 	"hep/internal/graph"
 	"hep/internal/part"
 	"hep/internal/parttest"
+	"hep/internal/pstate"
+	"hep/internal/shard"
 )
 
 // runCollected runs a Buffered configuration with a collecting sink.
@@ -24,35 +27,52 @@ func runCollected(t *testing.T, b *Buffered, g graph.EdgeStream, k int) (*part.R
 	return res, col
 }
 
-// TestWarmStartBitIdenticalToLegacyScan pins the candidate-iteration warm
-// start bit-for-bit against the retired k-probe scan: on every stand-in the
-// full assignment sequence — edge order and chosen partitions, which
-// subsumes the region seeds — must be identical, across buffer sizes that
-// force warm-started multi-batch runs.
-func TestWarmStartBitIdenticalToLegacyScan(t *testing.T) {
-	for _, name := range []string{"OK", "TW", "LJ"} {
-		g := gen.MustDataset(name).Build(0.1)
-		for _, buf := range []int{1 << 13, 1 << 15} {
-			for _, k := range []int{32, 128} {
-				bNew := &Buffered{BufferEdges: buf}
-				_, colNew := runCollected(t, bNew, g, k)
-				bOld := &Buffered{BufferEdges: buf, legacyWarmScan: true}
-				_, colOld := runCollected(t, bOld, g, k)
-
-				if len(colNew.Edges) != len(colOld.Edges) {
-					t.Fatalf("%s buf=%d k=%d: %d vs %d assignments", name, buf, k, len(colNew.Edges), len(colOld.Edges))
-				}
-				for i := range colNew.Edges {
-					if colNew.Edges[i] != colOld.Edges[i] {
-						t.Fatalf("%s buf=%d k=%d: assignment %d diverged: bucket %v vs scan %v",
-							name, buf, k, i, colNew.Edges[i], colOld.Edges[i])
-					}
-				}
-				if bNew.LastStats.Batches < 2 {
-					t.Fatalf("%s buf=%d: want a multi-batch run, got %d batches", name, buf, bNew.LastStats.Batches)
+// TestWarmIntoMatchesRescan pins the two warm-start forms against each
+// other: at batch start, before any region adds a replica, the bucket index
+// (plus overflow probes) must yield exactly the batch vertices the live
+// table holds on p — as a set, for every p — both with the default bucket
+// pool and with a pool so small that most vertices spill to the overflow
+// list.
+func TestWarmIntoMatchesRescan(t *testing.T) {
+	const k = 32
+	g := gen.MustDataset("OK").Build(0.1)
+	// Replica state left by earlier batches: a full run's table.
+	prior, err := (&Buffered{BufferEdges: 1 << 14, Workers: 1}).Partition(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := g.E[:1<<12]
+	for _, pool := range []int{-1, 64} {
+		st := newBatchState(len(batch), k)
+		seen := make(map[graph.V]bool)
+		for _, e := range batch {
+			for _, v := range []graph.V{e.U, e.V} {
+				if !seen[v] {
+					seen[v] = true
+					st.verts = append(st.verts, v)
 				}
 			}
 		}
+		if pool >= 0 {
+			st.buckets = pstate.NewBuckets(k, pool, len(st.verts))
+		}
+		st.buckets.Build(prior.Reps, st.verts)
+		if pool >= 0 && len(st.buckets.Overflow()) == 0 {
+			t.Fatalf("pool=%d: no vertex overflowed", pool)
+		}
+		reps := shard.FromTable(prior.Reps)
+		for p := 0; p < k; p++ {
+			got, _ := st.warmInto(nil, reps, p)
+			want, probes := st.warmRescan(nil, reps, p)
+			if probes != int64(len(st.verts)) {
+				t.Fatalf("pool=%d p=%d: rescan probed %d of %d vertices", pool, p, probes, len(st.verts))
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("pool=%d p=%d: bucket candidates %v, live table %v", pool, p, got, want)
+			}
+		}
+		prior.Reps = reps.Freeze()
 	}
 }
 
@@ -100,10 +120,12 @@ func TestWarmStartProbeRegression(t *testing.T) {
 // here by saturating k−2 partitions, so a four-region budget must re-grant
 // each of the two admissible partitions), the second region rescans the live
 // replica table — the batch-start bucket index predates every replica the
-// partition's first region placed. legacyRepeatWarm keeps the pre-fix
-// stale-bucket behavior compilable so the regression stays visible: missing
-// those fresh replicas must never cost replication factor.
+// partition's first region placed. With one expander the run is
+// deterministic, so the rescan count is exact, and the RF must stay at or
+// below staleBucketRF: the RF of this batch when repeat regions read the
+// stale buckets instead, recorded from that retired path.
 func TestRepeatRegionWarmRescan(t *testing.T) {
+	const staleBucketRF = 1.6042134831460675
 	g := gen.MustDataset("OK").Build(0.05)
 	var edges []graph.Edge
 	if err := g.Edges(func(u, v graph.V) bool {
@@ -120,52 +142,40 @@ func TestRepeatRegionWarmRescan(t *testing.T) {
 	const k = 4
 	capacity := m // loose bound: the two live partitions never clamp a quota
 
-	run := func(legacy bool) (*part.Result, BufferedStats) {
-		b := &Buffered{Workers: 2, ParallelExpandMin: 1, legacyRepeatWarm: legacy}
-		st := newBatchState(len(edges), k)
-		st.batch = append(st.batch[:0], edges...)
-		// Two synthetic vertices (outside the batch) saturate partitions 2
-		// and 3 before the batch runs, leaving partitions 0 and 1 as the only
-		// admissible grant targets.
-		res := part.NewResult(n+2, k)
-		for i := int64(0); i < capacity; i++ {
-			res.Assign(graph.V(n), graph.V(n+1), 2)
-			res.Assign(graph.V(n), graph.V(n+1), 3)
-		}
-		localID := make([]int32, n+2)
-		for i := range localID {
-			localID[i] = -1
-		}
-		if err := b.processBatch(st, localID, res, deg, 1.1, capacity); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.LastStats
+	b := &Buffered{Workers: 1}
+	st := newBatchState(len(edges), k)
+	st.batch = append(st.batch[:0], edges...)
+	// Two synthetic vertices (outside the batch) saturate partitions 2 and 3
+	// before the batch runs, leaving partitions 0 and 1 as the only
+	// admissible grant targets.
+	res := part.NewResult(n+2, k)
+	for i := int64(0); i < capacity; i++ {
+		res.Assign(graph.V(n), graph.V(n+1), 2)
+		res.Assign(graph.V(n), graph.V(n+1), 3)
+	}
+	localID := make([]int32, n+2)
+	for i := range localID {
+		localID[i] = -1
+	}
+	if err := b.processBatch(st, localID, res, deg, 1.1, capacity); err != nil {
+		t.Fatal(err)
 	}
 
-	resFixed, stFixed := run(false)
-	resLegacy, stLegacy := run(true)
-
-	if stFixed.WarmRescans == 0 {
-		t.Fatal("forcing failed: no repeat region rescanned the replica table")
+	if got := b.LastStats.WarmRescans; got != 2 {
+		t.Fatalf("%d repeat regions rescanned the replica table, want 2", got)
 	}
-	if stLegacy.WarmRescans != 0 {
-		t.Fatalf("legacy path rescanned %d times, want 0", stLegacy.WarmRescans)
+	// Every batch edge is assigned exactly once on top of the synthetic
+	// pre-load.
+	if want := int64(len(edges)) + 2*capacity; res.M != want {
+		t.Fatalf("%d assignments, want %d", res.M, want)
 	}
-	// Both modes must still assign every batch edge exactly once on top of
-	// the synthetic pre-load.
-	want := int64(len(edges)) + 2*capacity
-	for name, res := range map[string]*part.Result{"fixed": resFixed, "legacy": resLegacy} {
-		if res.M != want {
-			t.Fatalf("%s: %d assignments, want %d", name, res.M, want)
-		}
-		if err := res.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	// The rescan stitches a repeat region onto the replicas its partition's
 	// first region just placed; the stale buckets cannot see them.
-	if rfF, rfL := resFixed.ReplicationFactor(), resLegacy.ReplicationFactor(); rfF > rfL*1.01 {
-		t.Errorf("fixed warm start RF %.4f worse than stale-bucket RF %.4f", rfF, rfL)
+	if rf := res.ReplicationFactor(); rf > staleBucketRF {
+		t.Errorf("warm-start RF %.4f worse than stale-bucket RF %.4f", rf, staleBucketRF)
 	}
 }
 

@@ -4,24 +4,21 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hep/internal/graph"
 	"hep/internal/shard"
 	"hep/internal/vheap"
 )
 
-// This file is the region core shared by the two expansion modes of the
-// Buffered partitioner: the per-expander growing state (expanderState), the
+// This file is the region state of the Buffered partitioner's expanders
+// (expand_par.go): the per-expander growing state (expanderState), the
 // candidate-iteration warm start over the batch's replica-bucket index, and
-// the concurrent mode's region planner (expandPlan). The sequential expander
-// (expand_seq.go) runs one expanderState with exact unassigned-degree
-// bookkeeping; the concurrent expanders (expand_par.go) run W of them with
-// the DNE-style stale-key discipline over a shared CAS claim array.
+// the region planner (expandPlan) that grants regions to the W ≥ 1
+// expanders of a batch.
 
 // expanderState is one expander's region-growing scratch: the membership of
 // the region currently being grown, the undo list that clears it, the
 // min-external-degree heap driving core moves, and the candidate assembly
 // buffer. Sized by the batch vertex bound so no operation reallocates; one
-// state exists per expander goroutine (the sequential mode is expander 0).
+// state exists per expander goroutine.
 type expanderState struct {
 	member   []bool      // region membership of the current region
 	touched  []int32     // members of the current region (for reset)
@@ -54,20 +51,14 @@ func (ex *expanderState) clearRegion() {
 	ex.touched = ex.touched[:0]
 }
 
-// replicaHas is the single-probe read both replica-table forms share
-// (pstate.Table sequentially, shard.AtomicTable under concurrency).
-type replicaHas interface {
-	Has(v graph.V, p int) bool
-}
-
 // warmInto assembles the warm-start candidates for partition p from the
 // batch's bucket index into dst: the bucketed vertices replicated on p plus
 // the overflow vertices probing true. It returns the candidates and the
 // number of per-vertex probes spent on the overflow list — the only
 // remaining per-region probe cost, which the probe-counter regression test
-// pins near zero (the retired path probed every active batch vertex once
-// per region, k full scans per batch).
-func (st *batchState) warmInto(dst []int32, reps replicaHas, p int) ([]int32, int64) {
+// pins near zero (the retired path probed every batch vertex once per
+// region, k full scans per batch).
+func (st *batchState) warmInto(dst []int32, reps *shard.AtomicTable, p int) ([]int32, int64) {
 	dst = dst[:0]
 	dst = append(dst, st.buckets.Bucket(p)...)
 	var probes int64
@@ -84,9 +75,8 @@ func (st *batchState) warmInto(dst []int32, reps replicaHas, p int) ([]int32, in
 // repeat-region warm start. A second region into the same partition must see
 // the replicas the partition's first region added this batch, and those
 // postdate the batch-start bucket index, so the rescan pays one probe per
-// batch vertex instead (the concurrent mirror of seqWarmCandidates' fall
-// back to scanWarmCandidates).
-func (st *batchState) warmRescan(dst []int32, reps replicaHas, p int) ([]int32, int64) {
+// batch vertex instead.
+func (st *batchState) warmRescan(dst []int32, reps *shard.AtomicTable, p int) ([]int32, int64) {
 	dst = dst[:0]
 	for v := range st.verts {
 		if reps.Has(st.verts[v], p) {
@@ -102,7 +92,7 @@ func (st *batchState) warmRescan(dst []int32, reps replicaHas, p int) ([]int32, 
 // the shard lanes at every region boundary, and recording how many expanders
 // were ever in flight at once. All grants see capacity through counts that
 // include every finished region (FoldSnapshot folds before picking), so the
-// balance bound holds exactly as in the sequential mode.
+// balance bound holds exactly at every W.
 type expandPlan struct {
 	mu       sync.Mutex
 	loads    *shard.ShardedLoads

@@ -9,27 +9,35 @@ import (
 	"hep/internal/part"
 )
 
-// TestParallelExpansionQualityPin pins the concurrent region expanders of
-// the out-of-core engine to the sequential expander: at k ∈ {32, 128} on
-// the OK, TW and LJ stand-ins, W ∈ {2, 4, 8} concurrent expanders must stay
-// within 2% of sequential replication factor and balance, assign the same
-// number of edges, and demonstrably run ≥ 2 regions concurrently.
+// seqExpansionRef is the replication factor and balance of the retired
+// sequential region expander (BufferEdges 1<<15, scale 0.1), recorded at
+// full precision before it was deleted. It stays the reference of the
+// quality pin so the pin keeps checking what it always checked.
+var seqExpansionRef = map[string]map[int][2]float64{
+	"OK": {32: {4.164727355692448, 1.0000586613480378}, 128: {5.725074150125485, 1.00052795213234}},
+	"TW": {32: {4.207640285139828, 1.0001740809318078}, 128: {5.815938585267776, 1.0006804981879758}},
+	"LJ": {32: {2.3951310861423223, 1.00008585901949}, 128: {3.1217228464419478, 1.00008585901949}},
+}
+
+// TestParallelExpansionQualityPin pins the region expanders of the
+// out-of-core engine to the retired sequential expander: at k ∈ {32, 128}
+// on the OK, TW and LJ stand-ins, W ∈ {1, 2, 4, 8} expanders must stay
+// within 2% of the recorded sequential replication factor and balance,
+// assign every edge, and (at W ≥ 2) demonstrably run ≥ 2 regions
+// concurrently.
 //
-// Which edges each region claims depends on worker interleaving, so a
-// single run's RF scatters around the expander's real quality (± a couple
-// percent under the race scheduler, centered at sequential); the pinned
-// quantity is the mean of a few runs, which is what the 2% claim is about.
+// At W ≥ 2, which edges each region claims depends on worker interleaving,
+// so a single run's RF scatters around the expander's real quality (± a
+// couple percent under the race scheduler); the pinned quantity is the mean
+// of a few runs, which is what the 2% claim is about. W = 1 is
+// deterministic, so its runs are identical.
 func TestParallelExpansionQualityPin(t *testing.T) {
 	const reps = 3
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.1)
 		for _, k := range []int{32, 128} {
-			seqAlgo := &ooc.Buffered{BufferEdges: 1 << 15}
-			seq, err := seqAlgo.Partition(g, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 8} {
+			ref := seqExpansionRef[name][k]
+			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/k=%d/W=%d", name, k, workers), func(t *testing.T) {
 					var rfSum, balSum float64
 					for rep := 0; rep < reps; rep++ {
@@ -38,21 +46,21 @@ func TestParallelExpansionQualityPin(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if par.M != seq.M {
-							t.Fatalf("parallel assigned %d edges, sequential %d", par.M, seq.M)
+						if par.M != g.NumEdges() {
+							t.Fatalf("assigned %d of %d edges", par.M, g.NumEdges())
 						}
-						if algo.LastStats.ParallelBatches == 0 || algo.LastStats.PeakExpanders < 2 {
+						if workers > 1 && (algo.LastStats.ParallelBatches == 0 || algo.LastStats.PeakExpanders < 2) {
 							t.Fatalf("expansion not concurrent: %d parallel batches, peak %d expanders",
 								algo.LastStats.ParallelBatches, algo.LastStats.PeakExpanders)
 						}
 						rfSum += par.ReplicationFactor()
 						balSum += par.Balance()
 					}
-					srf, prf := seq.ReplicationFactor(), rfSum/reps
+					srf, prf := ref[0], rfSum/reps
 					if prf > srf*1.02 {
 						t.Errorf("mean RF %.4f > sequential %.4f + 2%%", prf, srf)
 					}
-					sb, pb := seq.Balance(), balSum/reps
+					sb, pb := ref[1], balSum/reps
 					if pb > sb*1.02 {
 						t.Errorf("mean balance %.4f > sequential %.4f + 2%%", pb, sb)
 					}
