@@ -421,33 +421,28 @@ func BenchmarkParallelHDRF(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExpansion measures the out-of-core engine's region
-// expansion — W expander goroutines claiming batch edges by CAS — from the
-// one-expander case W=1 up (TW stand-in, k=32). CI smokes it;
-// `hep-bench -exp expand` prints the scaling table.
-func BenchmarkParallelExpansion(b *testing.B) {
+// BenchmarkBufferedExpansion measures Buffered's batch pipeline — batch
+// CSR fill, warm-start index and the NE++ kernel, on one goroutine — at
+// buffers of m/8 and m (TW stand-in, k=32, Workers 1). CI smokes it.
+func BenchmarkBufferedExpansion(b *testing.B) {
 	g := gen.MustDataset("TW").Build(benchScale)
 	m := g.NumEdges()
 	const k = 32
-	run := func(b *testing.B, workers int) {
-		b.SetBytes(m * 8)
-		var rf float64
-		for i := 0; i < b.N; i++ {
-			algo := &ooc.Buffered{BufferEdges: 1 << 15, Workers: workers, ParallelExpandMin: 1}
-			res, err := algo.Partition(g, k)
-			if err != nil {
-				b.Fatal(err)
+	for _, div := range []int64{8, 1} {
+		b.Run(fmt.Sprintf("buffer=m/%d", div), func(b *testing.B) {
+			b.SetBytes(m * 8)
+			var rf float64
+			for i := 0; i < b.N; i++ {
+				algo := &ooc.Buffered{BufferEdges: int((m + div - 1) / div), Workers: 1}
+				res, err := algo.Partition(g, k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rf = res.ReplicationFactor()
 			}
-			if workers > 1 && algo.LastStats.PeakExpanders < 2 {
-				b.Fatalf("peak expanders %d, want ≥ 2", algo.LastStats.PeakExpanders)
-			}
-			rf = res.ReplicationFactor()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
-		b.ReportMetric(rf, "rf")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) { run(b, w) })
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*m), "ns/edge")
+			b.ReportMetric(rf, "rf")
+		})
 	}
 }
 

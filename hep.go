@@ -153,21 +153,22 @@ type Config struct {
 	Seed int64
 	// Workers is the multi-core parallelism of the algorithms that have a
 	// parallel path: the sharded streaming engine behind AlgoHEP's
-	// informed phase, AlgoHDRF and AlgoRestream, AlgoBuffered's mini-CSR
-	// fill, its region expansion (up to Workers concurrent expanders per
-	// batch, DNE-style CAS edge claims) and its per-edge fallback, and
-	// DNE's own concurrent expanders. The pre-passes — the exact degree
-	// pass and HEP's two-pass CSR build — are single-goroutine at every
-	// Workers, because on a 2-vCPU host the batch-engine versions they
-	// replaced ran at 296 vs 104 ns/edge (CSR build, TW stand-in) and 115
-	// vs 15 ns/edge (degree pass, OK stand-in). HEP's CSR is therefore
-	// bit-identical at every Workers. 0 resolves to GOMAXPROCS (DNE keeps
-	// its own default); 1 forces the sequential code path — for
-	// AlgoBuffered, the one-expander case of its region expansion — which
-	// is the determinism guarantee: parallel placement depends on worker
-	// interleaving. Algorithms with no parallel path (order-sensitive
-	// streaming like ADWISE, the in-memory partitioners) reject
-	// Workers > 1 instead of silently running sequentially.
+	// informed phase, AlgoHDRF and AlgoRestream, AlgoBuffered's per-edge
+	// fallback, and DNE's own concurrent expanders. The pre-passes — the
+	// exact degree pass and HEP's two-pass CSR build — are single-goroutine
+	// at every Workers, because on a 2-vCPU host the batch-engine versions
+	// they replaced ran at 296 vs 104 ns/edge (CSR build, TW stand-in) and
+	// 115 vs 15 ns/edge (degree pass, OK stand-in). HEP's CSR is therefore
+	// bit-identical at every Workers. AlgoBuffered partitions every batch
+	// with the NE++ kernel on one goroutine, so its Workers only fans out
+	// the fallback, and its placement is deterministic unless that
+	// parallel fallback runs (Workers > 1 and a batch leaves at least 2048
+	// leftovers). 0 resolves to GOMAXPROCS (DNE keeps its own default); 1
+	// forces the sequential code path, which is the determinism guarantee:
+	// parallel placement depends on worker interleaving. Algorithms with no
+	// parallel path (order-sensitive streaming like ADWISE, the in-memory
+	// partitioners) reject Workers > 1 instead of silently running
+	// sequentially.
 	Workers int
 	// BatchEdges pins the parallel sharded engine's fan-out batch size for
 	// the algorithms with a parallel path. 0 (the default) lets the
@@ -492,24 +493,10 @@ func FitBudget(src EdgeStream, cfg Config) (Config, error) {
 		}
 		cfg.Tau = tau
 	case AlgoBuffered:
-		// Concurrent region expansion charges per-expander batch state, so
-		// the buffer is sized for the resolved worker count — a parallel run
-		// under a budget gets a smaller buffer, never a broken bound. The
-		// expander count is capped at K (ooc never runs more), so a
-		// many-core host with small K is not undersized for state it could
-		// never allocate.
-		workers := shardWorkers(cfg)
-		if workers > cfg.K {
-			workers = cfg.K
-		}
-		fit := ooc.BufferForBudgetWorkers(cfg.MemBudget, workers)
+		fit := ooc.BufferForBudget(cfg.MemBudget)
 		if fit < 1 {
-			perEdge := ooc.BytesPerBufferedEdge
-			if workers > 1 {
-				perEdge += (workers - 1) * ooc.BytesPerExpanderEdge
-			}
-			return cfg, fmt.Errorf("hep: budget %d bytes below one buffered edge (%d bytes at %d workers)",
-				cfg.MemBudget, perEdge, workers)
+			return cfg, fmt.Errorf("hep: budget %d bytes below one buffered edge (%d bytes)",
+				cfg.MemBudget, ooc.BytesPerBufferedEdge)
 		}
 		if cfg.Buffer == 0 || cfg.Buffer > fit {
 			cfg.Buffer = fit

@@ -305,8 +305,8 @@ func TestFitBudget(t *testing.T) {
 	if err != nil || cfg.Buffer != 10 {
 		t.Fatalf("small explicit buffer not kept: %d (%v)", cfg.Buffer, err)
 	}
-	// Concurrent expanders charge per-worker batch state: the same budget
-	// yields a smaller buffer at Workers=4 than at Workers=1.
+	// Batches expand on one goroutine at every Workers, so the same budget
+	// yields the same buffer at Workers=4 as at Workers=1.
 	c1, err := FitBudget(g, Config{Algorithm: AlgoBuffered, K: 32, Workers: 1, MemBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +315,8 @@ func TestFitBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c4.Buffer >= c1.Buffer {
-		t.Fatalf("W=4 buffer %d not smaller than W=1 buffer %d under the same budget", c4.Buffer, c1.Buffer)
+	if c4.Buffer != c1.Buffer {
+		t.Fatalf("W=4 buffer %d differs from W=1 buffer %d under the same budget", c4.Buffer, c1.Buffer)
 	}
 
 	// Algorithms that would silently ignore the budget are rejected.

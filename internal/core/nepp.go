@@ -4,6 +4,8 @@
 package core
 
 import (
+	"math"
+
 	"hep/internal/bitset"
 	"hep/internal/graph"
 	"hep/internal/part"
@@ -49,14 +51,50 @@ type Stats struct {
 	InMemBound int64
 }
 
-// NEPP runs the NE++ expansion over a pruned CSR, assigning every in-memory
-// edge (all edges except E_h2h) to one of k partitions. The CSR is consumed:
-// its size fields shrink as edges are removed.
+// Plan carries the hooks that let one NE++ kernel serve both HEP's
+// in-memory phase and the out-of-core Buffered partitioner's batches (the
+// buffered model of Chhabra et al.: each buffer's graph is partitioned by the
+// in-memory algorithm, informed by the global state): placement ids,
+// expansion order and limits, a replica warm start, a seed window and a
+// leftover sink. NewNEPP fills in HEP's values; Reset takes any plan.
+type Plan struct {
+	// IDs maps CSR vertex ids to the ids edges are placed under
+	// (nil = identity, HEP's case).
+	IDs []graph.V
+	// Order lists the partitions to expand, in expansion order. Limits[i]
+	// bounds res.Counts[Order[i]] and so includes the partition's existing
+	// load. Spills cascade along Order: an edge whose slot is full goes to
+	// the next slot with room, and its endpoints pre-seed the next slot's
+	// secondary set (Algorithm 1, line 28).
+	Order  []int
+	Limits []int64
+	// Warm, if non-nil, calls join for every CSR vertex already replicated
+	// on partition p. Before p expands, each such vertex joins S_p through
+	// moveToSecondary, so the edges between them are placed on p.
+	Warm func(p int, join func(v graph.V))
+	// SeedWindow, if above 1, picks each cold seed as the live vertex of
+	// least remaining degree among the next SeedWindow live vertices past
+	// the seed cursor (looking at most 8·SeedWindow positions ahead): the
+	// NE-style low-degree seed. 0 keeps the plain sequential
+	// initialization of §3.2.3 (HEP).
+	SeedWindow int
+	// Leftover receives (in placement ids) every edge the kernel does not
+	// place: spills past the last slot of Order and the remainder of
+	// Algorithm 3.
+	Leftover func(u, v graph.V)
+}
+
+// NEPP is the NE++ expansion kernel (§3.2) over a mutable CSR: a
+// min-external-degree heap drives core moves, core and secondary sets track
+// C and S_i, assigned low↔high entries are swap-removed, low↔low entries
+// are cleaned up lazily at partition boundaries, and spilled edges warm-start
+// the next partition. The CSR is consumed: its size fields shrink as edges
+// are removed.
 type NEPP struct {
-	csr   *graph.CSR
-	k     int
-	res   *part.Result
-	bound int64
+	csr    *graph.CSR
+	res    *part.Result
+	plan   Plan
+	pruned bool // the CSR has high-degree vertices (τ < ∞)
 
 	core    *bitset.Set // C: global core set
 	curS    *bitset.Set // S_i of the partition currently expanding
@@ -64,11 +102,11 @@ type NEPP struct {
 	heap    *vheap.Heap // low-degree S_i members keyed by external degree
 
 	// Spill-over warm start (Algorithm 1, line 28): endpoints of edges
-	// spilled to p_{i+1} pre-seed S_{i+1}, so the next expansion resumes
-	// at the spill boundary instead of a cold seed.
+	// spilled to the next slot pre-seed its secondary set, so the next
+	// expansion resumes at the spill boundary instead of a cold seed.
 	nextS       *bitset.Set
 	nextMembers []graph.V
-	cur         int // index of the partition currently expanding
+	cur         int // slot of Order currently expanding
 
 	seedCursor int // sequential initialization (§3.2.3)
 
@@ -76,27 +114,67 @@ type NEPP struct {
 	tracer Tracer
 }
 
-// NewNEPP prepares a NE++ run over csr writing into res (which may already
-// exist so HEP can continue with the streaming phase on the same result).
+// NewNEPP prepares HEP's NE++ run over csr writing into res (which may
+// already exist so HEP can continue with the streaming phase on the same
+// result): partitions 0..k-2 expand in order, each up to the bound
+// ⌈|E∖E_h2h|/k⌉, and partition k-1 receives the leftovers.
 func NewNEPP(csr *graph.CSR, k int, res *part.Result, tracer Tracer) *NEPP {
 	n := csr.N()
-	bound := (csr.InMemEdges() + int64(k) - 1) / int64(k)
-	return &NEPP{
-		csr:    csr,
-		k:      k,
-		res:    res,
-		bound:  bound,
+	p := &NEPP{
 		core:   bitset.New(n),
 		curS:   bitset.New(n),
 		nextS:  bitset.New(n),
 		heap:   vheap.New(n),
 		tracer: tracer,
-		stats: Stats{
-			ColEntries: csr.ColLen(),
-			H2HEdges:   csr.H2H().Len(),
-			InMemBound: bound,
-		},
 	}
+	bound := (csr.InMemEdges() + int64(k) - 1) / int64(k)
+	plan := Plan{
+		Order:    make([]int, k-1),
+		Limits:   make([]int64, k-1),
+		Leftover: func(u, v graph.V) { res.Assign(u, v, k-1) },
+	}
+	for i := range plan.Order {
+		plan.Order[i], plan.Limits[i] = i, bound
+	}
+	p.Reset(csr, res, plan)
+	p.stats.InMemBound = bound
+	return p
+}
+
+// NewKernel allocates kernel state for CSRs of up to maxN vertices, to be
+// reused across runs through Reset. Every array is allocated at its full
+// size up front, so Bytes is exact and stable under a memory budget.
+func NewKernel(maxN int) *NEPP {
+	return &NEPP{
+		core:        bitset.New(maxN),
+		curS:        bitset.New(maxN),
+		nextS:       bitset.New(maxN),
+		heap:        vheap.NewWithCap(maxN, maxN),
+		members:     make([]graph.V, 0, maxN),
+		nextMembers: make([]graph.V, 0, maxN),
+	}
+}
+
+// Bytes returns the kernel's own allocation (the CSR and result excluded).
+func (p *NEPP) Bytes() int64 {
+	return p.core.Bytes() + p.curS.Bytes() + p.nextS.Bytes() + p.heap.Bytes() +
+		int64(cap(p.members))*4 + int64(cap(p.nextMembers))*4
+}
+
+// Reset prepares the kernel for a run over csr (at most the vertex count
+// the kernel was sized for) with the given plan, clearing the state a
+// previous run left behind.
+func (p *NEPP) Reset(csr *graph.CSR, res *part.Result, plan Plan) {
+	p.core.Reset()
+	p.clearSecondary()
+	for _, v := range p.nextMembers {
+		p.nextS.Clear(v)
+	}
+	p.nextMembers = p.nextMembers[:0]
+	p.csr, p.res, p.plan = csr, res, plan
+	p.pruned = !math.IsInf(csr.Tau(), 1)
+	p.cur, p.seedCursor = 0, 0
+	p.stats = Stats{ColEntries: csr.ColLen(), H2HEdges: csr.H2H().Len()}
 }
 
 // Stats returns the run statistics (valid after Run).
@@ -105,12 +183,13 @@ func (p *NEPP) Stats() Stats { return p.stats }
 // Core exposes the global core bitset (for tests and ablations).
 func (p *NEPP) Core() *bitset.Set { return p.core }
 
-// Run executes the full NE++ partitioning: expansion + clean-up for
-// partitions 0..k-2 (Algorithm 1 + Algorithm 2) and the remaining-edge scan
-// for the last partition (Algorithm 3).
+// Run executes the NE++ partitioning: warm start, expansion and clean-up
+// for every slot of the plan's order (Algorithm 1 + Algorithm 2), then the
+// remaining-edge scan (Algorithm 3), whose edges go to the leftover sink.
 func (p *NEPP) Run() {
-	for i := 0; i < p.k-1; i++ {
+	for i := range p.plan.Order {
 		p.cur = i
+		p.warmStart(i)
 		exhausted := p.expand(i)
 		p.cleanup(i)
 		p.advanceSecondary()
@@ -118,14 +197,32 @@ func (p *NEPP) Run() {
 			break
 		}
 	}
-	p.cur = p.k - 1
-	p.assignRemaining(p.k - 1)
+	p.assignRemaining()
 }
 
-// expand grows partition i until its capacity bound is reached. It reports
-// whether the in-memory graph was exhausted (no seed vertex remains).
+// full reports whether slot i has reached its limit.
+func (p *NEPP) full(i int) bool {
+	return p.res.Counts[p.plan.Order[i]] >= p.plan.Limits[i]
+}
+
+// warmStart joins the plan's warm vertices for slot i to S_i, stopping once
+// the slot is full so replicated territory is never spilled onward.
+func (p *NEPP) warmStart(i int) {
+	if p.plan.Warm == nil {
+		return
+	}
+	p.plan.Warm(p.plan.Order[i], func(v graph.V) {
+		if p.full(i) || p.core.Has(v) || p.curS.Has(v) || p.csr.ValidDegree(v) == 0 {
+			return
+		}
+		p.moveToSecondary(v, i)
+	})
+}
+
+// expand grows slot i until its limit is reached. It reports whether the
+// in-memory graph was exhausted (no seed vertex remains).
 func (p *NEPP) expand(i int) bool {
-	for p.res.Counts[i] < p.bound {
+	for !p.full(i) {
 		var v graph.V
 		if p.heap.Len() > 0 {
 			v, _ = p.heap.PopMin()
@@ -144,17 +241,39 @@ func (p *NEPP) expand(i int) bool {
 
 // nextSeed performs the sequential initialization of §3.2.3: a cursor walks
 // the vertex ids once; every skip reason (in core, high-degree, no
-// unassigned edges) is permanent, so no vertex is ever revisited.
+// unassigned edges) is permanent, so no vertex is ever revisited. With a
+// seed window the least-degree live vertex of a bounded window past the
+// cursor is chosen instead of the cursor's own; the window costs O(window)
+// per seed, never a rescan of the dead prefix.
 func (p *NEPP) nextSeed() (graph.V, bool) {
 	n := p.csr.N()
-	for p.seedCursor < n {
-		v := graph.V(p.seedCursor)
-		if !p.core.Has(v) && !p.csr.IsHigh(v) && p.csr.ValidDegree(v) > 0 {
-			return v, true
-		}
+	for p.seedCursor < n && !p.live(graph.V(p.seedCursor)) {
 		p.seedCursor++
 	}
-	return 0, false
+	if p.seedCursor == n {
+		return 0, false
+	}
+	seed := graph.V(p.seedCursor)
+	if w := p.plan.SeedWindow; w > 1 {
+		best, live := p.csr.ValidDegree(seed), 1
+		for s, end := p.seedCursor+1, min(n, p.seedCursor+8*w); s < end && live < w; s++ {
+			v := graph.V(s)
+			if !p.live(v) {
+				continue
+			}
+			live++
+			if d := p.csr.ValidDegree(v); d < best {
+				seed, best = v, d
+			}
+		}
+	}
+	return seed, true
+}
+
+// live reports whether v can seed an expansion: outside the core,
+// low-degree, with unassigned edges.
+func (p *NEPP) live(v graph.V) bool {
+	return !p.core.Has(v) && !p.csr.IsHigh(v) && p.csr.ValidDegree(v) > 0
 }
 
 // moveToCore implements Algorithm 1, lines 12–15, adapted to the pruned
@@ -179,7 +298,7 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 	for idx := int32(0); idx < int32(len(out)); {
 		u := out[idx]
 		switch {
-		case p.csr.IsHigh(u):
+		case p.pruned && p.csr.IsHigh(u):
 			if !p.curS.Has(u) {
 				p.curS.Set(u)
 				p.members = append(p.members, u)
@@ -199,7 +318,7 @@ func (p *NEPP) moveToCore(v graph.V, i int) {
 	for idx := int32(0); idx < int32(len(in)); {
 		u := in[idx]
 		switch {
-		case p.csr.IsHigh(u):
+		case p.pruned && p.csr.IsHigh(u):
 			if !p.curS.Has(u) {
 				p.curS.Set(u)
 				p.members = append(p.members, u)
@@ -239,7 +358,7 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 	for idx := int32(0); idx < int32(len(out)); {
 		u := out[idx]
 		switch {
-		case p.csr.IsHigh(u):
+		case p.pruned && p.csr.IsHigh(u):
 			if p.curS.Has(u) {
 				p.assign(v, u, i)
 				p.csr.RemoveOutAt(v, idx)
@@ -267,7 +386,7 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 	for idx := int32(0); idx < int32(len(in)); {
 		u := in[idx]
 		switch {
-		case p.csr.IsHigh(u):
+		case p.pruned && p.csr.IsHigh(u):
 			if p.curS.Has(u) {
 				p.assign(u, v, i)
 				p.csr.RemoveInAt(v, idx)
@@ -294,28 +413,38 @@ func (p *NEPP) moveToSecondary(v graph.V, i int) {
 	p.heap.Push(v, dext)
 }
 
-// assign places an edge into partition i, spilling to following partitions
-// when i is at its capacity bound (Algorithm 1, lines 25–28). Endpoints of
-// edges spilled into the immediately following partition pre-seed its
-// secondary set, giving the next expansion a warm start at the spill
-// boundary; deeper cascades (a single expansion step overshooting more than
-// one partition's capacity) only set replica bits.
+// assign places an edge into slot i, spilling along the plan's order when
+// slot i is at its limit (Algorithm 1, lines 25–28). Endpoints of edges
+// spilled into the immediately following slot pre-seed its secondary set,
+// giving the next expansion a warm start at the spill boundary; deeper
+// cascades (a single expansion step overshooting more than one slot's
+// limit) only set replica bits. Edges spilled past the last slot go to the
+// leftover sink.
 func (p *NEPP) assign(u, v graph.V, i int) {
+	order := p.plan.Order
 	target := i
-	for p.res.Counts[target] >= p.bound && target+1 < p.k {
+	for target < len(order) && p.full(target) {
 		target++
 	}
 	if target != i {
 		p.stats.SpillEdges++
-		if target == p.cur+1 && target < p.k-1 {
+		if target == p.cur+1 && target < len(order) {
 			p.preseed(u)
 			p.preseed(v)
 		}
 	}
-	p.res.Assign(u, v, target)
+	if ids := p.plan.IDs; ids != nil {
+		u, v = ids[u], ids[v]
+	}
+	if target == len(order) {
+		p.plan.Leftover(u, v)
+		return
+	}
+	p.res.Assign(u, v, order[target])
 }
 
-// preseed adds a spilled-edge endpoint to S_{cur+1} (Algorithm 1, line 28).
+// preseed adds a spilled-edge endpoint to the next slot's secondary set
+// (Algorithm 1, line 28).
 func (p *NEPP) preseed(v graph.V) {
 	if !p.nextS.Has(v) {
 		p.nextS.Set(v)
@@ -355,7 +484,7 @@ func (p *NEPP) cleanup(i int) {
 		for idx := int32(0); idx < int32(len(out)); {
 			u := out[idx]
 			switch {
-			case p.csr.IsHigh(u):
+			case p.pruned && p.csr.IsHigh(u):
 				if p.curS.Has(u) {
 					p.assign(v, u, i)
 					p.csr.RemoveOutAt(v, idx)
@@ -377,7 +506,7 @@ func (p *NEPP) cleanup(i int) {
 		for idx := int32(0); idx < int32(len(in)); {
 			u := in[idx]
 			switch {
-			case p.csr.IsHigh(u):
+			case p.pruned && p.csr.IsHigh(u):
 				if p.curS.Has(u) {
 					p.assign(u, v, i)
 					p.csr.RemoveInAt(v, idx)
@@ -405,11 +534,7 @@ func (p *NEPP) cleanup(i int) {
 // pre-seeded members were all assigned in the spilling partition, so no
 // valid entry points inside S_{i+1} (see DESIGN.md).
 func (p *NEPP) advanceSecondary() {
-	for _, v := range p.members {
-		p.curS.Clear(v)
-	}
-	p.members = p.members[:0]
-	p.heap.Reset()
+	p.clearSecondary()
 
 	p.curS, p.nextS = p.nextS, p.curS
 	p.members, p.nextMembers = p.nextMembers, p.members
@@ -423,13 +548,22 @@ func (p *NEPP) advanceSecondary() {
 	}
 }
 
-// assignRemaining implements Algorithm 3: the last partition receives every
+// clearSecondary empties S_i and the heap.
+func (p *NEPP) clearSecondary() {
+	for _, v := range p.members {
+		p.curS.Clear(v)
+	}
+	p.members = p.members[:0]
+	p.heap.Reset()
+}
+
+// assignRemaining implements Algorithm 3: the leftover sink receives every
 // remaining in-memory edge by scanning the adjacency lists of low-degree
-// vertices outside the core set. Out-entries are assigned from the
-// left-hand endpoint; in-entries only when the neighbor is high-degree
-// (low↔low edges are covered exactly once by their left endpoint's
-// out-list).
-func (p *NEPP) assignRemaining(last int) {
+// vertices outside the core set. Out-entries are sent from the left-hand
+// endpoint; in-entries only when the neighbor is high-degree (low↔low edges
+// are covered exactly once by their left endpoint's out-list).
+func (p *NEPP) assignRemaining() {
+	ids, leftover := p.plan.IDs, p.plan.Leftover
 	n := p.csr.N()
 	for vi := 0; vi < n; vi++ {
 		v := graph.V(vi)
@@ -442,12 +576,22 @@ func (p *NEPP) assignRemaining(last int) {
 			off, cnt = p.csr.InSpan(v)
 			p.tracer.Touch(off, cnt)
 		}
+		gv := v
+		if ids != nil {
+			gv = ids[v]
+		}
 		for _, u := range p.csr.Out(v) {
-			p.res.Assign(v, u, last)
+			if ids != nil {
+				u = ids[u]
+			}
+			leftover(gv, u)
 		}
 		for _, u := range p.csr.In(v) {
 			if p.csr.IsHigh(u) {
-				p.res.Assign(u, v, last)
+				if ids != nil {
+					u = ids[u]
+				}
+				leftover(u, gv)
 			}
 		}
 	}

@@ -206,6 +206,81 @@ func BuildCSR(src EdgeStream, tau float64, store H2HStore) (*CSR, error) {
 	return c, nil
 }
 
+// NewCSRBuffer allocates an empty, unpruned CSR with room for maxN vertices
+// and maxM edges, to be rebuilt in place by Refill: one allocation serves
+// every batch of an out-of-core run.
+func NewCSRBuffer(maxN, maxM int) *CSR {
+	return &CSR{
+		tau:     math.Inf(1),
+		outIdx:  make([]int64, maxN+1),
+		inIdx:   make([]int64, maxN),
+		outSize: make([]int32, maxN),
+		inSize:  make([]int32, maxN),
+		col:     make([]V, 2*maxM),
+		deg:     make([]int32, maxN),
+		high:    bitset.New(maxN),
+		h2h:     &MemH2H{},
+	}
+}
+
+// Refill rebuilds c in place over edges, renamed to compact local ids:
+// endpoint g becomes local[g], and a vertex with local[g] < 0 gets the next
+// free id, in order of first appearance, with g appended to verts. It
+// returns verts, the local→global map; the caller resets local for the
+// returned vertices before the next batch. Self-loops are skipped (they
+// carry no adjacency); M counts the edges kept. No vertex is high-degree.
+// Like BuildCSR it makes two passes on the calling goroutine, so segment
+// order is a pure function of the edge order. c must have room for the
+// vertices and edges (NewCSRBuffer).
+func (c *CSR) Refill(edges []Edge, local []int32, verts []V) []V {
+	verts = verts[:0]
+	var m int64
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		u, v := local[e.U], local[e.V]
+		if u < 0 {
+			u = int32(len(verts))
+			local[e.U] = u
+			verts = append(verts, e.U)
+			c.outSize[u], c.inSize[u] = 0, 0
+		}
+		if v < 0 {
+			v = int32(len(verts))
+			local[e.V] = v
+			verts = append(verts, e.V)
+			c.outSize[v], c.inSize[v] = 0, 0
+		}
+		c.outSize[u]++
+		c.inSize[v]++
+		m++
+	}
+	n := len(verts)
+	var off int64
+	for v := 0; v < n; v++ {
+		oc, ic := c.outSize[v], c.inSize[v]
+		c.outIdx[v], c.inIdx[v] = off, off+int64(oc)
+		c.deg[v] = oc + ic
+		off += int64(oc + ic)
+		c.outSize[v], c.inSize[v] = 0, 0
+	}
+	c.outIdx[n] = off
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		u, v := local[e.U], local[e.V]
+		c.col[c.outIdx[u]+int64(c.outSize[u])] = V(v)
+		c.outSize[u]++
+		c.col[c.inIdx[v]+int64(c.inSize[v])] = V(u)
+		c.inSize[v]++
+	}
+	c.n, c.m = n, m
+	c.mean = MeanDegree(n, m)
+	return verts
+}
+
 // N returns the number of vertices.
 func (c *CSR) N() int { return c.n }
 

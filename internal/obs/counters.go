@@ -29,30 +29,31 @@ const (
 	// state at batch/region boundaries).
 	CtrFolds
 	// CtrWarmSpills counts batch vertices that overflowed the warm-start
-	// bucket pool and fell back to per-region probing.
+	// bucket pool and fell back to per-partition probing.
 	CtrWarmSpills
 	// CtrSpillBytes counts bytes written to the delta-varint spill runs
 	// (E_h2h and other out-of-core intermediates).
 	CtrSpillBytes
 	// CtrFallbackEdges counts edges placed by the out-of-core per-edge
-	// informed-HDRF fallback instead of region expansion.
+	// informed-HDRF fallback instead of the batch NE++ kernel.
 	CtrFallbackEdges
-	// CtrExpansionEdges counts edges placed by region expansion.
+	// CtrExpansionEdges counts edges placed by the batch NE++ kernel.
 	CtrExpansionEdges
-	// CtrRegions counts expansion regions grown.
+	// CtrRegions counts partition expansions the batch NE++ kernel ran.
 	CtrRegions
 	// CtrWarmMaskPasses counts batch vertices indexed by the warm-start
 	// bucket build (one mask iteration per vertex per batch).
 	CtrWarmMaskPasses
 	// CtrWarmScanProbes counts per-vertex replica probes spent on the warm
-	// start outside the bucket build (overflow probes, repeat-region scans).
+	// start outside the bucket build (overflow probes).
 	CtrWarmScanProbes
-	// CtrWarmRescans counts repeat regions that rescanned for fresh replicas
-	// because the batch-start bucket index predates an earlier region.
+	// CtrWarmRescans is no longer written (it counted the retired repeat
+	// regions of the concurrent expander) and reads 0; the name stays in
+	// the hep-trace/v1 schema.
 	CtrWarmRescans
-	// CtrParallelBatches counts out-of-core batches whose regions were grown
-	// by two or more concurrent expanders; 0 at Workers ≤ 1, where every
-	// batch runs one expander.
+	// CtrParallelBatches is no longer written (it counted batches grown by
+	// concurrent expanders; batches now expand on one goroutine) and reads
+	// 0; the name stays in the hep-trace/v1 schema.
 	CtrParallelBatches
 	// CtrChunksLent counts decoded edge slabs lent zero-copy to the batch
 	// engine (graph.ChunkStream dispatch — batches alias the producer's
@@ -126,9 +127,9 @@ func (id CounterID) String() string {
 type GaugeID uint8
 
 const (
-	// GaugePeakExpanders is the largest number of expansion regions ever in
-	// flight at once: 1 at Workers ≤ 1, where one expander grows one region
-	// at a time.
+	// GaugePeakExpanders is no longer written (batches expand on one
+	// goroutine, so at most one region is ever in flight) and reads 0; the
+	// name stays in the hep-trace/v1 schema.
 	GaugePeakExpanders GaugeID = iota
 	// GaugePeakBufferBytes is the high-water mark of buffer-scaled
 	// batch-local allocation in the out-of-core engine.

@@ -66,32 +66,39 @@ func TestBufferedBeatsHDRFOnPowerLawGraphs(t *testing.T) {
 	}
 }
 
-// TestBufferedGoldenAssignmentHash pins the Workers: 1 assignment of
-// Buffered at k=32 on the OK stand-in to a hash recorded once (FNV-64a over
-// u, v, partition of every sink delivery in order). The buffer holds a
-// quarter of the graph, so later batches warm-start from the replicas
-// earlier ones placed. Run it under go test -cpu 1,2,4: one expander must
-// not depend on GOMAXPROCS.
+// TestBufferedGoldenAssignmentHash pins the assignment of Buffered at k=32
+// on the OK stand-in to a hash recorded once (FNV-64a over u, v, partition
+// of every sink delivery in order). The buffer holds a quarter of the
+// graph, so later batches warm-start from the replicas earlier ones placed.
+// The NE++ kernel runs on one goroutine at every Workers, so Workers: 2
+// must give the same hash as long as no batch leaves enough leftovers for
+// the parallel fallback. Run it under go test -cpu 1,2,4: the placement
+// must not depend on GOMAXPROCS either.
 func TestBufferedGoldenAssignmentHash(t *testing.T) {
-	const golden uint64 = 0xf0e3a3773ec7033f
+	const golden uint64 = 0xe64a5ed96e61a29b
 	g := gen.MustDataset("OK").Build(0.1)
-	b := &Buffered{BufferEdges: int(g.NumEdges()+3) / 4, Workers: 1}
-	sum := fnv.New64a()
-	var buf [12]byte
-	b.Sink = part.SinkFunc(func(u, v graph.V, p int) {
-		binary.LittleEndian.PutUint32(buf[0:], u)
-		binary.LittleEndian.PutUint32(buf[4:], v)
-		binary.LittleEndian.PutUint32(buf[8:], uint32(p))
-		sum.Write(buf[:])
-	})
-	if _, err := b.Partition(g, 32); err != nil {
-		t.Fatal(err)
-	}
-	if b.LastStats.Batches != 4 {
-		t.Fatalf("%d batches, want 4", b.LastStats.Batches)
-	}
-	if got := sum.Sum64(); got != golden {
-		t.Fatalf("assignment hash %#x, want %#x", got, golden)
+	for _, workers := range []int{1, 2} {
+		b := &Buffered{BufferEdges: int(g.NumEdges()+3) / 4, Workers: workers}
+		sum := fnv.New64a()
+		var buf [12]byte
+		b.Sink = part.SinkFunc(func(u, v graph.V, p int) {
+			binary.LittleEndian.PutUint32(buf[0:], u)
+			binary.LittleEndian.PutUint32(buf[4:], v)
+			binary.LittleEndian.PutUint32(buf[8:], uint32(p))
+			sum.Write(buf[:])
+		})
+		if _, err := b.Partition(g, 32); err != nil {
+			t.Fatal(err)
+		}
+		if b.LastStats.Batches != 4 {
+			t.Fatalf("W=%d: %d batches, want 4", workers, b.LastStats.Batches)
+		}
+		if b.LastStats.FallbackEdges >= defaultParallelFallbackMin {
+			t.Fatalf("W=%d: %d fallback edges could have taken the parallel fallback", workers, b.LastStats.FallbackEdges)
+		}
+		if got := sum.Sum64(); got != golden {
+			t.Fatalf("W=%d: assignment hash %#x, want %#x", workers, got, golden)
+		}
 	}
 }
 

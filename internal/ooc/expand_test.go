@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"hep/internal/part"
 	"hep/internal/parttest"
 	"hep/internal/pstate"
-	"hep/internal/shard"
 )
 
 // runCollected runs a Buffered configuration with a collecting sink.
@@ -27,12 +25,11 @@ func runCollected(t *testing.T, b *Buffered, g graph.EdgeStream, k int) (*part.R
 	return res, col
 }
 
-// TestWarmIntoMatchesRescan pins the two warm-start forms against each
-// other: at batch start, before any region adds a replica, the bucket index
-// (plus overflow probes) must yield exactly the batch vertices the live
-// table holds on p — as a set, for every p — both with the default bucket
-// pool and with a pool so small that most vertices spill to the overflow
-// list.
+// TestWarmIntoMatchesRescan pins the warm start against a live-table scan:
+// at batch start the bucket index (plus overflow probes) must yield exactly
+// the batch vertices the replica table holds on p — as a set, for every p —
+// both with the default bucket pool and with a pool so small that most
+// vertices spill to the overflow list.
 func TestWarmIntoMatchesRescan(t *testing.T) {
 	const k = 32
 	g := gen.MustDataset("OK").Build(0.1)
@@ -60,28 +57,30 @@ func TestWarmIntoMatchesRescan(t *testing.T) {
 		if pool >= 0 && len(st.buckets.Overflow()) == 0 {
 			t.Fatalf("pool=%d: no vertex overflowed", pool)
 		}
-		reps := shard.FromTable(prior.Reps)
 		for p := 0; p < k; p++ {
-			got, _ := st.warmInto(nil, reps, p)
-			want, probes := st.warmRescan(nil, reps, p)
-			if probes != int64(len(st.verts)) {
-				t.Fatalf("pool=%d p=%d: rescan probed %d of %d vertices", pool, p, probes, len(st.verts))
+			var got, want []graph.V
+			probes := st.warmInto(prior.Reps, p, func(v graph.V) { got = append(got, v) })
+			if probes != int64(len(st.buckets.Overflow())) {
+				t.Fatalf("pool=%d p=%d: %d probes for %d overflow vertices", pool, p, probes, len(st.buckets.Overflow()))
+			}
+			for v, g := range st.verts {
+				if prior.Reps.Has(g, p) {
+					want = append(want, graph.V(v))
+				}
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("pool=%d p=%d: bucket candidates %v, live table %v", pool, p, got, want)
 			}
 		}
-		prior.Reps = reps.Freeze()
 	}
 }
 
-// TestWarmStartProbeRegression pins that the k-probe warm scan is actually
-// gone: the bucket build iterates each batch vertex's mask once per batch
-// (WarmMaskPasses is independent of k), and the remaining per-region probe
-// paths — bucket-pool overflow and repeat-region rescans — stay unused on
-// the stand-ins, where the retired path would have paid k probes per batch
-// vertex.
+// TestWarmStartProbeRegression pins that the warm start never scans the
+// batch once per partition: the bucket build iterates each batch vertex's
+// mask once per batch (WarmMaskPasses is independent of k), and the one
+// per-partition probe path — bucket-pool overflow — stays unused on the
+// stand-ins, where a per-partition scan would pay k probes per batch vertex.
 func TestWarmStartProbeRegression(t *testing.T) {
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.1)
@@ -96,12 +95,9 @@ func TestWarmStartProbeRegression(t *testing.T) {
 				t.Fatalf("%s k=%d: no mask passes recorded", name, k)
 			}
 			if st.WarmScanProbes != 0 {
-				t.Errorf("%s k=%d: %d per-region warm probes (want 0: pool overflow or rescans)", name, k, st.WarmScanProbes)
+				t.Errorf("%s k=%d: %d per-partition warm probes (want 0: pool overflow)", name, k, st.WarmScanProbes)
 			}
-			if st.WarmRescans != 0 {
-				t.Errorf("%s k=%d: %d repeat-region rescans", name, k, st.WarmRescans)
-			}
-			// The retired scan would have cost Regions × active vertices —
+			// A per-partition scan would have cost Regions × batch vertices —
 			// k times the bucket build. The whole warm start must stay at
 			// one mask iteration per batch vertex.
 			if st.Regions < int64(k) {
@@ -115,83 +111,17 @@ func TestWarmStartProbeRegression(t *testing.T) {
 	}
 }
 
-// TestRepeatRegionWarmRescan pins the repeat-region warm start: when the
-// plan grants the same partition a second region within one batch (forced
-// here by saturating k−2 partitions, so a four-region budget must re-grant
-// each of the two admissible partitions), the second region rescans the live
-// replica table — the batch-start bucket index predates every replica the
-// partition's first region placed. With one expander the run is
-// deterministic, so the rescan count is exact, and the RF must stay at or
-// below staleBucketRF: the RF of this batch when repeat regions read the
-// stale buckets instead, recorded from that retired path.
-func TestRepeatRegionWarmRescan(t *testing.T) {
-	const staleBucketRF = 1.6042134831460675
-	g := gen.MustDataset("OK").Build(0.05)
-	var edges []graph.Edge
-	if err := g.Edges(func(u, v graph.V) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	deg, m, err := graph.Degrees(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 4
-	capacity := m // loose bound: the two live partitions never clamp a quota
-
-	b := &Buffered{Workers: 1}
-	st := newBatchState(len(edges), k)
-	st.batch = append(st.batch[:0], edges...)
-	// Two synthetic vertices (outside the batch) saturate partitions 2 and 3
-	// before the batch runs, leaving partitions 0 and 1 as the only
-	// admissible grant targets.
-	res := part.NewResult(n+2, k)
-	for i := int64(0); i < capacity; i++ {
-		res.Assign(graph.V(n), graph.V(n+1), 2)
-		res.Assign(graph.V(n), graph.V(n+1), 3)
-	}
-	localID := make([]int32, n+2)
-	for i := range localID {
-		localID[i] = -1
-	}
-	if err := b.processBatch(st, localID, res, deg, 1.1, capacity); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := b.LastStats.WarmRescans; got != 2 {
-		t.Fatalf("%d repeat regions rescanned the replica table, want 2", got)
-	}
-	// Every batch edge is assigned exactly once on top of the synthetic
-	// pre-load.
-	if want := int64(len(edges)) + 2*capacity; res.M != want {
-		t.Fatalf("%d assignments, want %d", res.M, want)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The rescan stitches a repeat region onto the replicas its partition's
-	// first region just placed; the stale buckets cannot see them.
-	if rf := res.ReplicationFactor(); rf > staleBucketRF {
-		t.Errorf("warm-start RF %.4f worse than stale-bucket RF %.4f", rf, staleBucketRF)
-	}
-}
-
-// TestParallelExpansionExactlyOnce is the concurrency half of the race
-// suite: at W ∈ {2, 4, 8} the concurrent expanders must assign every batch
-// edge exactly once (CAS claim storm on the batch claim array), keep replica
-// state consistent, deliver each edge once to the sink, and actually grow
-// regions concurrently (≥ 2 expanders in flight per parallel batch). Run
-// under -race this doubles as the claim-storm and warm-bucket construction
-// race test.
+// TestParallelExpansionExactlyOnce pins the batch pipeline's contracts at
+// every Workers: every batch edge assigned exactly once, replica state
+// consistent, each edge delivered once to the sink, and the kernel placing
+// edges. A 128-edge fallback threshold lets leftover batches take the
+// parallel fallback at W ≥ 2; run under -race this doubles as its race test.
 func TestParallelExpansionExactlyOnce(t *testing.T) {
 	for _, name := range []string{"OK", "TW"} {
 		g := gen.MustDataset(name).Build(0.1)
-		for _, workers := range []int{2, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/W=%d", name, workers), func(t *testing.T) {
-				b := &Buffered{BufferEdges: 1 << 14, Workers: workers, ParallelExpandMin: 1}
+				b := &Buffered{BufferEdges: 1 << 14, Workers: workers, ParallelFallbackMin: 128}
 				res, col := runCollected(t, b, g, 32)
 				if err := res.Validate(); err != nil {
 					t.Fatal(err)
@@ -202,12 +132,6 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 				if err := parttest.CheckReplicas(res, col); err != nil {
 					t.Fatal(err)
 				}
-				if b.LastStats.ParallelBatches == 0 {
-					t.Fatal("no batch took the concurrent expansion path")
-				}
-				if b.LastStats.PeakExpanders < 2 {
-					t.Fatalf("peak concurrent expanders %d, want ≥ 2", b.LastStats.PeakExpanders)
-				}
 				if b.LastStats.ExpansionEdges == 0 {
 					t.Fatal("no edges placed by expansion")
 				}
@@ -216,10 +140,10 @@ func TestParallelExpansionExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionTinyBatches drives the concurrent expanders through
+// TestParallelExpansionTinyBatches drives the batch pipeline through
 // degenerate shapes — batches smaller than the worker count, k exceeding the
-// batch, single-edge buffers — where the claim, grant and fallback edge
-// cases all trigger.
+// batch, single-edge buffers — where the spill, leftover and parallel
+// fallback edge cases all trigger.
 func TestParallelExpansionTinyBatches(t *testing.T) {
 	graphs := map[string]*graph.MemGraph{
 		"ba":   gen.BarabasiAlbert(600, 4, 7),
@@ -229,7 +153,7 @@ func TestParallelExpansionTinyBatches(t *testing.T) {
 	for gname, g := range graphs {
 		for _, buf := range []int{1, 7, 128} {
 			for _, k := range []int{2, 5, 16} {
-				b := &Buffered{BufferEdges: buf, Workers: 4, ParallelExpandMin: 1, ParallelFallbackMin: 1}
+				b := &Buffered{BufferEdges: buf, Workers: 4, ParallelFallbackMin: 1}
 				if _, err := parttest.RunAndCheck(b, g, k, 1.05, 2); err != nil {
 					t.Errorf("%s buf=%d k=%d: %v", gname, buf, k, err)
 				}
@@ -238,77 +162,11 @@ func TestParallelExpansionTinyBatches(t *testing.T) {
 	}
 }
 
-// TestParallelExpansionAbortsOnWorkerError pins the prompt-abort
-// discipline at the region level: the first worker error stops
-// every expander promptly and surfaces from Partition.
-func TestParallelExpansionAbortsOnWorkerError(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.05)
-	boom := errors.New("expander 1 exploded")
-	b := &Buffered{BufferEdges: 1 << 13, Workers: 4, ParallelExpandMin: 1}
-	b.expandFault = func(worker int) error {
-		if worker == 1 {
-			return boom
-		}
-		return nil
-	}
-	_, err := b.Partition(g, 32)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Partition error = %v, want the injected worker fault", err)
-	}
-	// The abort must hit the first parallel batch: no batch after the
-	// faulting one may have been processed.
-	if b.LastStats.ParallelBatches != 1 {
-		t.Fatalf("processed %d parallel batches after the fault, want 1", b.LastStats.ParallelBatches)
-	}
-}
-
-// TestBufferForBudgetWorkers pins the workers-aware budget sizing: each
-// expander beyond the first charges BytesPerExpanderEdge.
-func TestBufferForBudgetWorkers(t *testing.T) {
-	if b := BufferForBudgetWorkers(int64(BytesPerBufferedEdge+3*BytesPerExpanderEdge)*100, 4); b != 100 {
-		t.Fatalf("W=4 sizing = %d, want 100", b)
-	}
-	if a, b := BufferForBudget(1<<20), BufferForBudgetWorkers(1<<20, 1); a != b {
-		t.Fatalf("W=1 sizing %d != BufferForBudget %d", b, a)
-	}
-	if a, b := BufferForBudgetWorkers(1<<20, 8), BufferForBudget(1<<20); a >= b {
-		t.Fatalf("W=8 buffer %d not smaller than W=1 %d", a, b)
-	}
-}
-
-// TestParallelExpansionBudget pins the memory contract of the concurrent
-// mode: with the buffer sized by BufferForBudgetWorkers, the tracked peak
-// batch-local allocation — claim array and all expander states included —
-// stays within the byte budget.
-func TestParallelExpansionBudget(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.25)
-	const budget = 1 << 21
-	const workers = 4
-	bufEdges := BufferForBudgetWorkers(budget, workers)
-	if bufEdges <= 0 || int64(bufEdges) >= g.NumEdges() {
-		t.Fatalf("bad test sizing: buffer %d of %d edges", bufEdges, g.NumEdges())
-	}
-	b := &Buffered{BufferEdges: bufEdges, Workers: workers, ParallelExpandMin: 1}
-	res, err := b.Partition(g, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.M != g.NumEdges() {
-		t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
-	}
-	if b.LastStats.ParallelBatches == 0 {
-		t.Fatal("no concurrent batches")
-	}
-	if b.LastStats.PeakBufferBytes > budget {
-		t.Fatalf("peak buffer %d exceeds budget %d", b.LastStats.PeakBufferBytes, budget)
-	}
-}
-
 // TestBudgetBoundSmallBufferLargeK pins the documented PeakBufferBytes
 // bound in the regime where O(k) state dwarfs the per-edge slack: a
 // 64-edge buffer at k=256 must still stay within BytesPerBufferedEdge per
-// buffered edge, because the bucket heads and region flags are fixed
-// resident baseline, not buffer-scaled state.
+// buffered edge, because the bucket heads and the expansion order and
+// limits are fixed resident baseline, not buffer-scaled state.
 func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 4, 11)
 	const bufEdges = 64
@@ -323,11 +181,11 @@ func TestBudgetBoundSmallBufferLargeK(t *testing.T) {
 }
 
 // TestParallelExpansionLowDegreeBatch is the seed-scan linearity regression:
-// a matching-like batch (every vertex degree 1) empties the expander heap
+// a matching-like batch (every vertex degree 1) empties the kernel's heap
 // after every placed edge, so each edge costs one seed choice. If the seed
-// cursor ever stops hopping dead positions (exhausted vertices and passed
-// members), this test degenerates from linear to quadratic in the batch
-// size and times out instead of finishing in well under a second.
+// cursor ever stopped skipping dead positions permanently, this test would
+// degenerate from linear to quadratic in the batch size and time out
+// instead of finishing in well under a second.
 func TestParallelExpansionLowDegreeBatch(t *testing.T) {
 	const m = 1 << 17
 	edges := make([]graph.Edge, m)
@@ -335,7 +193,7 @@ func TestParallelExpansionLowDegreeBatch(t *testing.T) {
 		edges[i] = graph.Edge{U: graph.V(2 * i), V: graph.V(2*i + 1)}
 	}
 	g := graph.NewMemGraph(2*m, edges)
-	b := &Buffered{BufferEdges: m, Workers: 2, ParallelExpandMin: 1}
+	b := &Buffered{BufferEdges: m, Workers: 2}
 	res, err := b.Partition(g, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -345,5 +203,102 @@ func TestParallelExpansionLowDegreeBatch(t *testing.T) {
 	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBufferedSelfLoopsAndDuplicates feeds Buffered an input with
+// self-loops and duplicate edges (both orientations): the batch CSR skips
+// the self-loops, which go to the fallback, and every edge — duplicates
+// included — must be placed exactly once at every Workers.
+func TestBufferedSelfLoopsAndDuplicates(t *testing.T) {
+	base := gen.BarabasiAlbert(500, 4, 21)
+	var edges []graph.Edge
+	for i, e := range base.E {
+		edges = append(edges, e)
+		switch i % 7 {
+		case 0:
+			edges = append(edges, graph.Edge{U: e.U, V: e.U})
+		case 3:
+			edges = append(edges, e, graph.Edge{U: e.V, V: e.U})
+		}
+	}
+	g := graph.NewMemGraph(base.NumVertices(), edges)
+	for _, workers := range []int{1, 2} {
+		for _, buf := range []int{97, 1 << 12} {
+			b := &Buffered{BufferEdges: buf, Workers: workers, ParallelFallbackMin: 16}
+			if _, err := parttest.RunAndCheck(b, g, 8, 1.05, 2); err != nil {
+				t.Errorf("W=%d buf=%d: %v", workers, buf, err)
+			}
+			if b.LastStats.FallbackEdges == 0 {
+				t.Errorf("W=%d buf=%d: self-loops did not reach the fallback", workers, buf)
+			}
+		}
+	}
+}
+
+// TestBufferedLeftoversWithinBalance forces kernel leftovers: at k=128 a
+// 99-edge batch gives each partition a one-edge limit, and half the
+// partitions are pre-loaded to capacity, so their limits leave no room and
+// the kernel can place at most 64 edges. A batch of disjoint triangles
+// reaches the sink by spilling past the last partition in the order (each
+// core move places one edge and spills two onward); a power-law batch
+// reaches it through Algorithm 3's remainder. Every leftover must be
+// placed by the fallback, each edge exactly once, and no partition may
+// pass the capacity.
+func TestBufferedLeftoversWithinBalance(t *testing.T) {
+	const k, capacity, nb = 128, 100, 99
+	var triangles []graph.Edge
+	for v := graph.V(0); v < nb; v += 3 {
+		triangles = append(triangles, graph.Edge{U: v, V: v + 1}, graph.Edge{U: v + 1, V: v + 2}, graph.Edge{U: v + 2, V: v})
+	}
+	ok := gen.MustDataset("OK").Build(0.05)
+	batches := map[string]*graph.MemGraph{
+		"triangles": graph.NewMemGraph(nb, triangles),
+		"OK":        graph.NewMemGraph(ok.NumVertices(), ok.E[:nb]),
+	}
+	for name, g := range batches {
+		deg, _, err := graph.Degrees(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumVertices()
+		for _, workers := range []int{1, 2} {
+			b := &Buffered{Workers: workers, ParallelFallbackMin: 1}
+			st := newBatchState(nb, k)
+			st.batch = append(st.batch[:0], g.E...)
+			// Two synthetic vertices outside the batch fill partitions 64..127.
+			res := part.NewResult(n+2, k)
+			col := &part.Collect{}
+			res.Sink = col
+			all := slices.Clone(g.E)
+			for p := k / 2; p < k; p++ {
+				for i := 0; i < capacity; i++ {
+					res.Assign(graph.V(n), graph.V(n+1), p)
+					all = append(all, graph.Edge{U: graph.V(n), V: graph.V(n + 1)})
+				}
+			}
+			localID := make([]int32, n+2)
+			for i := range localID {
+				localID[i] = -1
+			}
+			b.processBatch(st, localID, res, append(deg, 1, 1), 1.1, capacity)
+
+			stats := b.LastStats
+			if stats.FallbackEdges == 0 || stats.ExpansionEdges+stats.FallbackEdges != nb {
+				t.Fatalf("%s W=%d: expansion %d + fallback %d, want %d with a fallback share",
+					name, workers, stats.ExpansionEdges, stats.FallbackEdges, nb)
+			}
+			if err := parttest.CheckExactlyOnce(graph.NewMemGraph(n+2, all), res, col); err != nil {
+				t.Fatalf("%s W=%d: %v", name, workers, err)
+			}
+			if err := res.Validate(); err != nil {
+				t.Fatalf("%s W=%d: %v", name, workers, err)
+			}
+			for p, c := range res.Counts {
+				if c > capacity {
+					t.Fatalf("%s W=%d: partition %d holds %d edges, capacity %d", name, workers, p, c, capacity)
+				}
+			}
+		}
 	}
 }

@@ -5,7 +5,7 @@
 // usable as the H2H spill store of paper §3.2.1), and a buffered streaming
 // partitioner (Buffered) in the spirit of buffered streaming edge
 // partitioning (Chhabra et al., 2024): fill a bounded edge buffer, partition
-// the batch with neighborhood expansion seeded by the global replica state,
+// the batch with the NE++ kernel informed by the global replica state,
 // flush, repeat.
 //
 // The resident set of every component is bounded by O(|V|) vertex state

@@ -6,7 +6,6 @@ import (
 
 	"hep/internal/gen"
 	"hep/internal/ooc"
-	"hep/internal/part"
 )
 
 // seqExpansionRef is the replication factor and balance of the retired
@@ -19,50 +18,35 @@ var seqExpansionRef = map[string]map[int][2]float64{
 	"LJ": {32: {2.3951310861423223, 1.00008585901949}, 128: {3.1217228464419478, 1.00008585901949}},
 }
 
-// TestParallelExpansionQualityPin pins the region expanders of the
-// out-of-core engine to the retired sequential expander: at k ∈ {32, 128}
-// on the OK, TW and LJ stand-ins, W ∈ {1, 2, 4, 8} expanders must stay
-// within 2% of the recorded sequential replication factor and balance,
-// assign every edge, and (at W ≥ 2) demonstrably run ≥ 2 regions
-// concurrently.
-//
-// At W ≥ 2, which edges each region claims depends on worker interleaving,
-// so a single run's RF scatters around the expander's real quality (± a
-// couple percent under the race scheduler); the pinned quantity is the mean
-// of a few runs, which is what the 2% claim is about. W = 1 is
-// deterministic, so its runs are identical.
+// TestParallelExpansionQualityPin pins Buffered's batches, partitioned by
+// the NE++ kernel, to the retired sequential region expander: at
+// k ∈ {32, 128} on the OK, TW and LJ stand-ins, every Workers must stay
+// within 2% of the recorded replication factor and balance and assign every
+// edge. The kernel runs on one goroutine at every Workers, so the runs are
+// deterministic unless the parallel fallback fires.
 func TestParallelExpansionQualityPin(t *testing.T) {
-	const reps = 3
 	for _, name := range []string{"OK", "TW", "LJ"} {
 		g := gen.MustDataset(name).Build(0.1)
 		for _, k := range []int{32, 128} {
 			ref := seqExpansionRef[name][k]
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/k=%d/W=%d", name, k, workers), func(t *testing.T) {
-					var rfSum, balSum float64
-					for rep := 0; rep < reps; rep++ {
-						algo := &ooc.Buffered{BufferEdges: 1 << 15, Workers: workers, ParallelExpandMin: 1}
-						par, err := algo.Partition(g, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if par.M != g.NumEdges() {
-							t.Fatalf("assigned %d of %d edges", par.M, g.NumEdges())
-						}
-						if workers > 1 && (algo.LastStats.ParallelBatches == 0 || algo.LastStats.PeakExpanders < 2) {
-							t.Fatalf("expansion not concurrent: %d parallel batches, peak %d expanders",
-								algo.LastStats.ParallelBatches, algo.LastStats.PeakExpanders)
-						}
-						rfSum += par.ReplicationFactor()
-						balSum += par.Balance()
+					algo := &ooc.Buffered{BufferEdges: 1 << 15, Workers: workers}
+					res, err := algo.Partition(g, k)
+					if err != nil {
+						t.Fatal(err)
 					}
-					srf, prf := ref[0], rfSum/reps
-					if prf > srf*1.02 {
-						t.Errorf("mean RF %.4f > sequential %.4f + 2%%", prf, srf)
+					if res.M != g.NumEdges() {
+						t.Fatalf("assigned %d of %d edges", res.M, g.NumEdges())
 					}
-					sb, pb := ref[1], balSum/reps
-					if pb > sb*1.02 {
-						t.Errorf("mean balance %.4f > sequential %.4f + 2%%", pb, sb)
+					rf, bal := res.ReplicationFactor(), res.Balance()
+					t.Logf("RF %.4f (%+.2f%%), balance %.4f, fallback %d edges",
+						rf, 100*(rf/ref[0]-1), bal, algo.LastStats.FallbackEdges)
+					if rf > ref[0]*1.02 {
+						t.Errorf("RF %.4f > sequential %.4f + 2%%", rf, ref[0])
+					}
+					if bal > ref[1]*1.02 {
+						t.Errorf("balance %.4f > sequential %.4f + 2%%", bal, ref[1])
 					}
 				})
 			}
@@ -71,13 +55,12 @@ func TestParallelExpansionQualityPin(t *testing.T) {
 }
 
 // TestParallelExpansionExactlyOnceConformance runs the repository-wide
-// validity checks over the concurrent expansion path: every edge assigned
-// exactly once, replicas consistent, balance within the bound — the same
-// contract every other partitioner meets, under real concurrency.
+// validity checks over Buffered at Workers 1 and 2: every edge assigned
+// exactly once, replicas consistent, balance within the bound.
 func TestParallelExpansionExactlyOnceConformance(t *testing.T) {
 	g := gen.MustDataset("LJ").Build(0.1)
-	for _, workers := range []int{2, 4, 8} {
-		algo := &ooc.Buffered{BufferEdges: 1 << 14, Workers: workers, ParallelExpandMin: 1}
+	for _, workers := range []int{1, 2} {
+		algo := &ooc.Buffered{BufferEdges: 1 << 14, Workers: workers}
 		res, err := RunAndCheck(algo, g, 32, 1.05, 2)
 		if err != nil {
 			t.Errorf("W=%d: %v", workers, err)
@@ -87,45 +70,4 @@ func TestParallelExpansionExactlyOnceConformance(t *testing.T) {
 			t.Errorf("W=%d: assigned %d of %d edges", workers, res.M, g.NumEdges())
 		}
 	}
-}
-
-// TestParallelExpansionSinkBatchOrder pins the delivery contract of the
-// concurrent mode: within every batch the expansion sweep delivers claimed
-// edges in batch (stream) order, so the sink sequence restricted to any one
-// batch's expansion phase is a subsequence of the stream even though
-// placement raced. With a buffer covering the whole graph this means the
-// expansion deliveries arrive in exact stream order.
-func TestParallelExpansionSinkBatchOrder(t *testing.T) {
-	g := gen.MustDataset("OK").Build(0.05)
-	algo := &ooc.Buffered{BufferEdges: 1 << 30, Workers: 4, ParallelExpandMin: 1}
-	col := &part.Collect{}
-	algo.SetSink(col)
-	res, err := algo.Partition(g, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if algo.LastStats.Batches != 1 || algo.LastStats.ParallelBatches != 1 {
-		t.Fatalf("want one concurrent batch, got %d/%d", algo.LastStats.ParallelBatches, algo.LastStats.Batches)
-	}
-	if err := CheckExactlyOnce(g, res, col); err != nil {
-		t.Fatal(err)
-	}
-	// The first ExpansionEdges deliveries are the claim sweep: they must be
-	// a stream-order subsequence of the input edge list, and the remainder
-	// (the fallback's share) likewise.
-	checkSubsequence := func(phase string, got []part.TaggedEdge) {
-		i := 0
-		for _, te := range got {
-			for i < len(g.E) && g.E[i] != te.E {
-				i++
-			}
-			if i == len(g.E) {
-				t.Fatalf("%s deliveries left stream order at %v", phase, te.E)
-			}
-			i++
-		}
-	}
-	n := int(algo.LastStats.ExpansionEdges)
-	checkSubsequence("expansion", col.Edges[:n])
-	checkSubsequence("fallback", col.Edges[n:])
 }

@@ -6,20 +6,20 @@ import "hep/internal/graph"
 // vertex's replica mask a constant number of times and appends the vertex's
 // tag (its index in the input slice) to the bucket of every partition the
 // mask covers. It is the candidate-iteration warm start of the out-of-core
-// engine — the k-probes-per-batch alternative was one Has probe per vertex
-// per region, k full scans of the batch per buffer fill; the bucket index
+// engine — the k-probes-per-batch alternative is one Has probe per vertex
+// per partition, k full scans of the batch per buffer fill; the bucket index
 // answers "which batch vertices are replicated on p" for every p at once in
 // O(batch replicas) total work, independent of k.
 //
 // The bucket pool is bounded: vertices are admitted in input order while
 // their replica sets fit the pool, and the rest spill to an overflow list
-// the consumer probes per region (rare by construction — the pool is sized
+// the consumer probes per partition (rare by construction — the pool is sized
 // for replica counts well above the replication factors power-law runs
 // produce). The split is deterministic: it depends only on the input order
 // and the masks, never on timing.
 //
-// Build is single-threaded; the built index is immutable and may be read
-// concurrently (the concurrent expanders share one).
+// Build is single-threaded; the built index is immutable until the next
+// Build.
 type Buckets struct {
 	k        int
 	heads    []int32 // len k+1; bucket p is pool[heads[p]:heads[p+1]]

@@ -418,13 +418,7 @@ func Adopt(n, k int, dense []uint64, pages [][]uint64, vcount []int64, covered i
 				}
 			}
 		}
-		if t.extra == 0 {
-			check.Assertf(t.covered == exact, "mask transplant: covered %d != %d vertices with replica bits", t.covered, exact)
-		} else {
-			// k > 64 first-bit races may overcount the running covered value
-			// (see shard.AtomicTable.Add); a transplant must never undercount.
-			check.Assertf(t.covered >= exact, "mask transplant: covered %d < %d vertices with replica bits", t.covered, exact)
-		}
+		check.Assertf(t.covered == exact, "mask transplant: covered %d != %d vertices with replica bits", t.covered, exact)
 	}
 	return t
 }

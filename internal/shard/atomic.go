@@ -89,6 +89,7 @@ type AtomicTable struct {
 	pageMu      sync.Mutex // serializes overflow page allocation
 	vcount      []int64    // |V(p)|, accessed with atomic adds
 	covered     int64      // vertices with ≥1 bit set (atomic; see Covered)
+	coveredBits []uint64   // k > 64: one covered bit per vertex (atomic CAS)
 	retries     int64      // failed CAS attempts in Add (atomic)
 }
 
@@ -116,8 +117,24 @@ func FromTable(t *pstate.Table) *AtomicTable {
 				at.pages[i].Store(&pg)
 			}
 		}
+		at.coveredBits = make([]uint64, (n+63)/64)
+		for v := range dense {
+			if dense[v] != 0 || !allZero(at.page(graph.V(v))) {
+				at.coveredBits[v>>6] |= 1 << (uint(v) & 63)
+			}
+		}
 	}
 	return at
+}
+
+// allZero reports whether every word is zero (true for a nil page).
+func allZero(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Freeze converts the table back to a sequential pstate.Table, transplanting
@@ -215,13 +232,7 @@ func (t *AtomicTable) Add(v graph.V, p int) bool {
 		}
 		if atomic.CompareAndSwapUint64(w, old, old|b) {
 			atomic.AddInt64(&t.vcount[p], 1)
-			if old == 0 && t.otherWordsZero(v, w) {
-				// The CAS winner observed the word at zero, so for k ≤ 64
-				// (one word per vertex) exactly one adder counts the vertex.
-				// For k > 64 two workers landing first bits in *different*
-				// words of the same vertex can in principle both count — the
-				// running value may overcount by that sliver; final metrics
-				// use the exact TotalAndCovered scan.
+			if old == 0 && (t.extra == 0 || t.markCovered(v)) {
 				atomic.AddInt64(&t.covered, 1)
 			}
 			return true
@@ -234,32 +245,29 @@ func (t *AtomicTable) Add(v graph.V, p int) bool {
 	}
 }
 
-// otherWordsZero reports whether every mask word of v other than won holds
-// zero — the "was this vertex uncovered" check behind the covered counter.
-// Trivially true for k ≤ 64, where won is the vertex's only word.
-func (t *AtomicTable) otherWordsZero(v graph.V, won *uint64) bool {
-	if t.extra == 0 {
-		return true
-	}
-	if &t.dense[v] != won && atomic.LoadUint64(&t.dense[v]) != 0 {
-		return false
-	}
-	ov := t.page(v)
-	if ov == nil {
-		return true
-	}
-	for i := range ov {
-		if &ov[i] != won && atomic.LoadUint64(&ov[i]) != 0 {
+// markCovered sets v's covered bit by CAS and reports whether this call set
+// it. Only an adder that turned one of v's mask words from zero calls it, so
+// the first such adder — whichever word it landed in — counts the vertex.
+func (t *AtomicTable) markCovered(v graph.V) bool {
+	w, b := &t.coveredBits[v>>6], uint64(1)<<(uint(v)&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&b != 0 {
 			return false
 		}
+		if atomic.CompareAndSwapUint64(w, old, old|b) {
+			return true
+		}
 	}
-	return true
 }
 
 // Covered returns the running number of vertices with at least one replica
 // bit set — the cheap numerator's partner for live replication-factor
-// sampling. Exact for k ≤ 64; may slightly overcount under k > 64 races
-// (see Add).
+// sampling. It is exact at every k. For k ≤ 64 each vertex has one mask
+// word, and the CAS that lands its first bit counts it. For k > 64 two
+// adders can land first bits in different words of one vertex at once, so
+// a per-vertex covered bit, set by CAS and seeded at FromTable, decides
+// which of them counts (markCovered).
 func (t *AtomicTable) Covered() int64 { return atomic.LoadInt64(&t.covered) }
 
 // Retries returns the number of failed CAS attempts Add has absorbed — the

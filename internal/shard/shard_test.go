@@ -85,6 +85,51 @@ func TestAtomicTableConcurrentAdds(t *testing.T) {
 	}
 }
 
+// TestAtomicTableCoveredFirstBitRace pins the covered counter at k = 128:
+// in every round, goroutines land the first bits of the same vertices in
+// different mask words (word 0 and the overflow word) at the same moment —
+// the race a first-bit check per word loses. A third of the vertices are
+// already covered before the transplant. Covered must equal a recount of
+// the vertices holding any bit, both live and after Freeze.
+func TestAtomicTableCoveredFirstBitRace(t *testing.T) {
+	const n, k, workers, rounds = 4096, 128, 8, 20
+	for r := 0; r < rounds; r++ {
+		warm := pstate.NewTable(n, k)
+		for v := 0; v < n; v += 3 {
+			warm.Add(graph.V(v), 100)
+		}
+		at := shard.FromTable(warm)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				start.Wait()
+				p := w % 2 * 64 // even workers hit word 0, odd ones word 1
+				for v := 0; v < n; v++ {
+					at.Add(graph.V(v), p+(v+r)%8)
+				}
+			}(w)
+		}
+		start.Done()
+		wg.Wait()
+		recount := int64(0)
+		for v := 0; v < n; v++ {
+			if at.Word(graph.V(v), 0) != 0 || at.Word(graph.V(v), 1) != 0 {
+				recount++
+			}
+		}
+		if got := at.Covered(); got != recount {
+			t.Fatalf("round %d: live Covered %d, recount %d", r, got, recount)
+		}
+		frozen := at.Freeze()
+		if _, c := frozen.TotalAndCovered(); frozen.Covered() != int64(c) {
+			t.Fatalf("round %d: frozen Covered %d, recount %d", r, frozen.Covered(), c)
+		}
+	}
+}
+
 // TestFromTableFreezeRoundTrip transplants a warm sequential table (with
 // materialized overflow pages) into atomic form and back, checking nothing
 // is copied wrong and atomic word reads match the original bits.

@@ -124,20 +124,27 @@ func (h *Heap) removeAt(j int) {
 	}
 }
 
+// up sifts j upward. Like down it moves a hole instead of swapping: the
+// entry is held aside while the parents it passes shift down one level, so
+// each level costs one entry write and one position write.
 func (h *Heap) up(j int) {
+	id, key := h.ids[j], h.keys[j]
 	for j > 0 {
 		parent := (j - 1) / 2
-		if h.keys[parent] <= h.keys[j] {
+		if h.keys[parent] <= key {
 			break
 		}
-		h.swap(parent, j)
+		h.move(parent, j)
 		j = parent
 	}
+	h.ids[j], h.keys[j] = id, key
+	h.pos[id] = int32(j)
 }
 
 // down sifts j downward and reports whether it moved.
 func (h *Heap) down(j int) bool {
-	moved := false
+	start := j
+	id, key := h.ids[j], h.keys[j]
 	n := len(h.ids)
 	for {
 		l := 2*j + 1
@@ -148,19 +155,19 @@ func (h *Heap) down(j int) bool {
 		if r := l + 1; r < n && h.keys[r] < h.keys[l] {
 			small = r
 		}
-		if h.keys[j] <= h.keys[small] {
+		if key <= h.keys[small] {
 			break
 		}
-		h.swap(j, small)
+		h.move(small, j)
 		j = small
-		moved = true
 	}
-	return moved
+	h.ids[j], h.keys[j] = id, key
+	h.pos[id] = int32(j)
+	return j != start
 }
 
-func (h *Heap) swap(a, b int) {
-	h.ids[a], h.ids[b] = h.ids[b], h.ids[a]
-	h.keys[a], h.keys[b] = h.keys[b], h.keys[a]
-	h.pos[h.ids[a]] = int32(a)
-	h.pos[h.ids[b]] = int32(b)
+// move copies the entry at from into slot to.
+func (h *Heap) move(from, to int) {
+	h.ids[to], h.keys[to] = h.ids[from], h.keys[from]
+	h.pos[h.ids[to]] = int32(to)
 }
