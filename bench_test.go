@@ -11,6 +11,7 @@ package hep
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"hep/internal/core"
@@ -228,6 +229,28 @@ func BenchmarkAblationTauSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkChooseTau times the §4.4 τ choice as FitBudget runs it: one
+// degree pass over a chunked binary file plus one pass over the degree
+// array for all seven candidates.
+func BenchmarkChooseTau(b *testing.B) {
+	g := benchGraph()
+	path := filepath.Join(b.TempDir(), "g.bin")
+	if err := WriteBinaryFile(path, g.E); err != nil {
+		b.Fatal(err)
+	}
+	src, err := OpenChunked(path, g.NumVertices(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ChooseTau(src, 32, tauCandidates, 1<<40); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
 }
 
 // BenchmarkAblationHDRFDegrees compares streamed partial degrees against an

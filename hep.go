@@ -583,8 +583,9 @@ func Summarize(name string, res *Result) Summary { return metrics.Summarize(name
 
 // ChooseTau returns the largest τ among candidates whose HEP footprint
 // (paper §4.2 model with exact column-array sizes) fits budgetBytes — the
-// paper's §4.4 recipe for partitioning under a memory bound. The boolean
-// reports whether any candidate fits.
+// paper's §4.4 recipe for partitioning under a memory bound. It reads src
+// once, for the degree count. The boolean reports whether any candidate
+// fits.
 func ChooseTau(src EdgeStream, k int, candidates []float64, budgetBytes int64) (float64, bool, error) {
 	return memmodel.ChooseTau(src, k, candidates, budgetBytes)
 }

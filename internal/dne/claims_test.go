@@ -50,37 +50,3 @@ func TestClaimsStorm(t *testing.T) {
 		}
 	}
 }
-
-// TestClaimsResetReuse pins the recycle contract: Reset clears exactly the
-// requested prefix, reusing the backing array when it fits.
-func TestClaimsResetReuse(t *testing.T) {
-	cl := NewClaims(8)
-	for e := 0; e < 8; e++ {
-		if !cl.TryClaim(e, int32(e)) {
-			t.Fatalf("fresh claim %d failed", e)
-		}
-	}
-	cl.Reset(4)
-	if cl.Len() != 4 {
-		t.Fatalf("Len after Reset(4) = %d", cl.Len())
-	}
-	for e := 0; e < 4; e++ {
-		if cl.Claimed(e) {
-			t.Fatalf("edge %d still claimed after Reset", e)
-		}
-		if cl.Owner(e) != -1 {
-			t.Fatalf("edge %d: owner %d, want -1", e, cl.Owner(e))
-		}
-	}
-	cl.Reset(32) // grow
-	if cl.Len() != 32 {
-		t.Fatalf("Len after Reset(32) = %d", cl.Len())
-	}
-	if cl.Bytes() < 32*4 {
-		t.Fatalf("Bytes %d below backing size", cl.Bytes())
-	}
-	cl.Assign(31, 7)
-	if cl.Owner(31) != 7 {
-		t.Fatalf("Assign/Owner: got %d", cl.Owner(31))
-	}
-}

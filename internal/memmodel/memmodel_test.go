@@ -1,7 +1,10 @@
 package memmodel
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"hep/internal/gen"
@@ -141,10 +144,236 @@ func TestChooseTau(t *testing.T) {
 }
 
 func TestEstimateH2HCapped(t *testing.T) {
-	if est := estimateH2H([]int32{1000, 1000}, 10); est != 10 {
+	if est := estimateH2H(2000, 10); est != 10 {
 		t.Fatalf("estimate %d not capped at m", est)
 	}
-	if estimateH2H(nil, 100) != 0 {
+	if estimateH2H(0, 100) != 0 {
 		t.Fatal("empty high set should give 0")
+	}
+}
+
+// refSweep evaluates each candidate on its own: it tests every vertex and
+// every edge with graph.HighDegree and sums the high degrees as floats.
+func refSweep(t *testing.T, g graph.EdgeStream, k int, taus []float64) []SweepPoint {
+	t.Helper()
+	deg, m, err := graph.Degrees(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(deg))
+	mean := graph.MeanDegree(len(deg), m)
+	sorted := append([]float64(nil), taus...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	points := make([]SweepPoint, len(sorted))
+	for i, tau := range sorted {
+		var col, high int64
+		var highSum float64
+		for _, d := range deg {
+			if graph.HighDegree(d, tau, mean) {
+				high++
+				highSum += float64(d)
+			} else {
+				col += int64(d)
+			}
+		}
+		var est int64
+		if m > 0 && high > 0 {
+			est = min(int64(highSum*highSum/(4*float64(m))), m)
+		}
+		var h2h int64
+		if err := g.Edges(func(u, v graph.V) bool {
+			if graph.HighDegree(deg[u], tau, mean) && graph.HighDegree(deg[v], tau, mean) {
+				h2h++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		points[i] = SweepPoint{
+			Tau: tau,
+			Footprint: Footprint{
+				Tau: tau, ColumnArray: col * BytesPerID,
+				IndexArrays: 2 * n * BytesPerID, SizeFields: 2 * n * BytesPerID,
+				ReplicaTable: pstate.MaxTableBytes(len(deg), k), AuxBitsets: 3 * n / 8,
+				Heap: 2 * n * BytesPerID, H2HEdges: est,
+			},
+			ExactH2H:   h2h,
+			ExactColmn: col,
+		}
+	}
+	return points
+}
+
+// refChoose selects over sweep points with the exact column array: the
+// first point, in descending τ, whose footprint fits.
+func refChoose(points []SweepPoint, budget int64) (float64, bool) {
+	for _, p := range points {
+		f := p.Footprint
+		f.ColumnArray = p.ExactColmn * BytesPerID
+		if f.Total() <= budget {
+			return p.Tau, true
+		}
+	}
+	return 0, false
+}
+
+// checkAgainstRef asserts that TauSweep is bit-identical to refSweep and
+// that ChooseTau picks what refChoose picks at every candidate's footprint
+// boundary, at 10 bytes and at 1 TiB.
+func checkAgainstRef(t *testing.T, g graph.EdgeStream, k int, taus []float64) {
+	t.Helper()
+	want := refSweep(t, g, k, taus)
+	got, err := TauSweep(g, k, taus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// %v prints floats exactly and NaN equal to NaN.
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("sweep differs from the per-candidate reference:\n got %+v\nwant %+v", got, want)
+	}
+	budgets := []int64{10, 1 << 40}
+	for _, p := range want {
+		f := p.Footprint
+		f.ColumnArray = p.ExactColmn * BytesPerID
+		budgets = append(budgets, f.Total(), f.Total()-1)
+	}
+	for _, b := range budgets {
+		tau, ok, err := ChooseTau(g, k, taus, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTau, wantOK := refChoose(want, b)
+		if ok != wantOK || math.Float64bits(tau) != math.Float64bits(wantTau) {
+			t.Errorf("budget %d: ChooseTau = (%v, %v), reference (%v, %v)", b, tau, ok, wantTau, wantOK)
+		}
+	}
+}
+
+// TestChooseTauMatchesSweepSelection pins that ChooseTau, with no E_h2h
+// pass, selects what the exact sweep selects, on three generator families.
+func TestChooseTauMatchesSweepSelection(t *testing.T) {
+	graphs := map[string]*graph.MemGraph{
+		"ba":        gen.BarabasiAlbert(3000, 6, 4),
+		"powerlaw":  gen.PowerLawConfig(3000, 2.1, 2, 400, 5),
+		"community": gen.CommunityPowerLaw(3000, 12, 5, 0.2, 6),
+	}
+	taus := []float64{100, 50, 20, 10, 5, 2, 1}
+	for name, g := range graphs {
+		for _, k := range []int{32, 128} {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+				checkAgainstRef(t, g, k, taus)
+			})
+		}
+	}
+}
+
+// TestTauSweepOddCandidates covers candidate lists where the rank order
+// needs care: NaN (never high, sorted last), ±Inf, zero of both signs,
+// negative τ, duplicates, unsorted input, a vertex high at the largest
+// candidate, and a graph with no edges.
+func TestTauSweepOddCandidates(t *testing.T) {
+	odd := []float64{math.NaN(), 3, math.Inf(1), -1, 0, 3, math.Inf(-1), 0.5, math.Copysign(0, -1), math.NaN()}
+	checkAgainstRef(t, gen.BarabasiAlbert(800, 4, 7), 32, odd)
+	checkAgainstRef(t, graph.NewMemGraph(5, nil), 32, odd)
+	checkAgainstRef(t, gen.Star(50), 4, []float64{math.NaN()})
+	checkAgainstRef(t, gen.Star(50), 4, []float64{1, 2, math.NaN()}) // the hub is high at the largest τ
+	checkAgainstRef(t, gen.Star(50), 4, nil)
+}
+
+// countingStream counts the passes started over a plain EdgeStream.
+type countingStream struct {
+	graph.EdgeStream
+	passes int
+}
+
+func (s *countingStream) Edges(yield func(u, v graph.V) bool) error {
+	s.passes++
+	return s.EdgeStream.Edges(yield)
+}
+
+// countingChunks counts the passes started over a ChunkStream through
+// either of its iterators.
+type countingChunks struct {
+	graph.ChunkStream
+	passes int
+}
+
+func (s *countingChunks) Edges(yield func(u, v graph.V) bool) error {
+	s.passes++
+	return s.ChunkStream.Edges(yield)
+}
+
+func (s *countingChunks) Chunks(yield func(edges []graph.Edge, release func()) bool) error {
+	s.passes++
+	return s.ChunkStream.Chunks(yield)
+}
+
+// TestChooseTauOnePass pins §4.4's cost claim: ChooseTau reads the edges
+// once (the degree count), TauSweep twice (plus the exact E_h2h count).
+func TestChooseTauOnePass(t *testing.T) {
+	g := gen.BarabasiAlbert(1000, 5, 8)
+	taus := []float64{100, 10, 1}
+	plain := &countingStream{EdgeStream: g}
+	chunked := &countingChunks{ChunkStream: g}
+	if _, ok := graph.AsChunks(plain); ok {
+		t.Fatal("plain wrapper lends chunks")
+	}
+	for _, c := range []struct {
+		name   string
+		src    graph.EdgeStream
+		passes *int
+	}{{"plain", plain, &plain.passes}, {"chunked", chunked, &chunked.passes}} {
+		if _, _, err := ChooseTau(c.src, 32, taus, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		if *c.passes != 1 {
+			t.Errorf("%s: ChooseTau started %d passes, want 1", c.name, *c.passes)
+		}
+		*c.passes = 0
+		if _, err := TauSweep(c.src, 32, taus); err != nil {
+			t.Fatal(err)
+		}
+		if *c.passes != 2 {
+			t.Errorf("%s: TauSweep started %d passes, want 2", c.name, *c.passes)
+		}
+	}
+}
+
+// twoFaced yields first on its first pass and second on every later one,
+// like a file rewritten between passes.
+type twoFaced struct {
+	n             int
+	first, second []graph.Edge
+	passes        int
+}
+
+func (s *twoFaced) NumVertices() int { return s.n }
+func (s *twoFaced) NumEdges() int64  { return int64(len(s.first)) }
+func (s *twoFaced) Edges(yield func(u, v graph.V) bool) error {
+	edges := s.first
+	if s.passes > 0 {
+		edges = s.second
+	}
+	s.passes++
+	for _, e := range edges {
+		if !yield(e.U, e.V) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// TestTauSweepVertexRangeOnSecondPass: an id past the degree pass's range
+// on the E_h2h pass is an error, not an index panic.
+func TestTauSweepVertexRangeOnSecondPass(t *testing.T) {
+	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
+	grown := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 9}, {U: 2, V: 3}}
+	_, err := TauSweep(&twoFaced{n: 4, first: edges, second: grown}, 4, []float64{2, 1})
+	if !errors.Is(err, graph.ErrVertexRange) {
+		t.Fatalf("got %v, want ErrVertexRange", err)
+	}
+	// ChooseTau reads the stream once, so the second face never shows.
+	if _, _, err := ChooseTau(&twoFaced{n: 4, first: edges, second: grown}, 4, []float64{2, 1}, 1<<20); err != nil {
+		t.Fatal(err)
 	}
 }
